@@ -18,7 +18,7 @@ import numpy as np
 from miclust import baselines, contrastive as contrastive_mod, data as data_mod, metrics as metrics_mod
 from miclust.errors import NumericError
 from miclust.kernels import KernelSpec, gram
-from miclust.models import MlpModel, NonparametricModel, init_model, load_model
+from miclust.models import MlpModel, init_model, load_model
 from miclust.optim import FitReport, TrainConfig, fit
 
 MODEL_IDS = ("kmeans", "spectral", "linear", "linear-rim", "kernel", "kernel-rim", "mlp", "nonparametric")
@@ -169,9 +169,9 @@ def cmd_boundary(args) -> int:
         doc = doc["model"]  # accept a full report.json too
     if doc.get("kind") in ("nonparametric", "spectral"):
         raise ValueError("model does not generalise; cannot draw a decision boundary")
+    if args.resolution < 1:
+        raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     model = load_model(doc)
-    if isinstance(model, NonparametricModel):
-        raise ValueError("model does not generalise; cannot draw a decision boundary")
     xs = np.linspace(args.xmin, args.xmax, args.resolution)
     ys = np.linspace(args.ymin, args.ymax, args.resolution)
     gx, gy = np.meshgrid(xs, ys)
@@ -333,6 +333,9 @@ def main(argv=None) -> int:
     # a config file provides flag defaults; explicit flags override
     if "--config" in argv:
         i = argv.index("--config")
+        if i + 1 == len(argv):
+            print("error: --config expects a file path", file=sys.stderr)
+            return 2
         path = argv[i + 1]
         argv = argv[:i] + argv[i + 2 :]
         try:

@@ -122,24 +122,28 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
 
 def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:
     """Contrastive training loop: one augmentation draw per epoch,
-    stop-gradient on the augmented branch, full-batch Adam on the loss."""
+    stop-gradient on the augmented branch, full-batch Adam on the loss.
+
+    The clean branch's features are built once; each epoch runs the critic's
+    head on them once and backpropagates over the intermediates it kept.
+    """
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
     gen = make_rng(cfg.seed)
     opt = Adam(critic.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
     start = time.perf_counter()
+    F = critic.features(values)
     for epoch in range(cfg.epochs):
         X_aug = augment(values, aug, gen)
-        Z = critic.logits(values)
+        Z, saved = critic.head(F)
         Z_aug = critic.logits(X_aug)
         loss, dZ = info_nce_loss(Z, Z_aug)
         if not np.isfinite(loss):
             raise NumericError(f"contrastive loss became non-finite at epoch {epoch}")
         history.append(loss)
-        grads = critic.backward_from_logits(values, -dZ)  # ascend the negated loss
-        opt.step(grads)
+        opt.step(critic.head_backward(F, saved, -dZ))  # ascend the negated loss
     elapsed = time.perf_counter() - start
-    labels = extract_clusters(critic, values)
+    labels = np.argmax(critic.head(F)[0], axis=1)
     config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())
     return FitReport(
         history=history,

@@ -125,17 +125,29 @@ def save_csv(X: DataMatrix, path) -> None:
 
 
 def load_csv(path) -> DataMatrix:
-    """Read a DataMatrix written by :func:`save_csv`."""
+    """Read a DataMatrix written by :func:`save_csv`.
+
+    Raises ValueError for an empty or header-only file and for a row whose
+    field count differs from the header's.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        has_label = bool(header) and header[-1] == "label"
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        has_label = header[-1] == "label"
         d = len(header) - (1 if has_label else 0)
         values, labels = [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(header)}"
+                )
             values.append([float(v) for v in row[:d]])
             if has_label:
                 labels.append(int(row[d]))
+    if not values:
+        raise ValueError(f"{path}: no data rows after the header")
     return DataMatrix(np.asarray(values), np.asarray(labels) if has_label else None)

@@ -1,10 +1,12 @@
 """Discriminative clustering models p(y|x) with exact analytic gradients.
 
 Every model maps an n x d matrix to an n x K row-stochastic responsibility
-matrix through a softmax. `backward` propagates an objective gradient taken
-with respect to the responsibilities down to every parameter; `backward_from_logits`
-skips the softmax Jacobian (used by the contrastive critic, which consumes
-raw logits).
+matrix through a softmax, in two stages: `features` maps X to the fixed,
+parameter-free input of the head (built once per fit), and `head` maps
+features to logits, keeping the intermediates `head_backward` reuses. The
+public `forward`, `backward`, `logits` and `backward_from_logits` take raw X
+and wrap the same stages; `backward_from_logits` skips the softmax Jacobian
+(used by the contrastive critic, which consumes raw logits).
 """
 
 from __future__ import annotations
@@ -38,8 +40,20 @@ def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     return P * (dP - inner)
 
 
+def _checked_input(X, d: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != d:
+        raise ValueError(f"input dimension {X.shape[1]} does not match model d={d}")
+    return X
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("parameters must be finite")
+
+
 class ClusterModel:
-    """Shared forward/backward plumbing; subclasses provide logits."""
+    """Shared one-pass training step; subclasses provide features and the head."""
 
     kind = "abstract"
     # parameter names whose Frobenius norm is penalized by RIM
@@ -49,22 +63,38 @@ class ClusterModel:
     def params(self) -> dict:
         raise NotImplementedError
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
+    def features(self, X: np.ndarray) -> np.ndarray:
+        """Validate X and map it to the parameter-free input of the head."""
         raise NotImplementedError
 
-    def backward_from_logits(self, X: np.ndarray, dZ: np.ndarray) -> dict:
+    def head(self, F: np.ndarray) -> tuple:
+        """Logits of features F, plus the intermediates `head_backward` reuses."""
         raise NotImplementedError
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(X))
+    def head_backward(self, F: np.ndarray, saved, dZ: np.ndarray) -> dict:
+        """Parameter gradients from a logit gradient, given the head's intermediates."""
+        raise NotImplementedError
 
-    def backward(self, X: np.ndarray, dP: np.ndarray) -> dict:
-        P = self.forward(X)
+    def step(self, F: np.ndarray) -> tuple:
+        """Run the head once: the responsibilities and the tape `step_backward` reuses."""
+        Z, saved = self.head(F)
+        P = softmax(Z)
+        return P, (F, saved, P)
+
+    def step_backward(self, tape: tuple, dP: np.ndarray) -> dict:
+        """Parameter gradients from a gradient w.r.t. the responsibilities of `step`."""
+        F, saved, P = tape
         if dP.shape != P.shape:
             raise ValueError(f"gradient shape {dP.shape} does not match responsibilities {P.shape}")
         if not np.all(np.isfinite(dP)):
             raise ValueError("gradient w.r.t. responsibilities contains non-finite entries")
-        return self.backward_from_logits(X, softmax_backward(P, dP))
+        return self.head_backward(F, saved, softmax_backward(P, dP))
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        return self.step(self.features(X))[0]
+
+    def backward(self, X: np.ndarray, dP: np.ndarray) -> dict:
+        return self.step_backward(self.step(self.features(X))[1], dP)
 
     @property
     def n_clusters(self) -> int:
@@ -96,8 +126,7 @@ class LinearModel(ClusterModel):
         self.b = np.asarray(b, dtype=np.float64)
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
             raise ValueError("W must be d x K and b length K")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise ValueError("parameters must be finite")
+        _check_finite(self.W, self.b)
 
     @property
     def params(self):
@@ -107,15 +136,20 @@ class LinearModel(ClusterModel):
     def n_clusters(self):
         return self.W.shape[1]
 
+    def features(self, X):
+        return _checked_input(X, self.W.shape[0])
+
+    def head(self, F):
+        return F @ self.W + self.b, None
+
+    def head_backward(self, F, saved, dZ):
+        return {"W": F.T @ dZ, "b": dZ.sum(axis=0)}
+
     def logits(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.W.shape[0]:
-            raise ValueError(f"input dimension {X.shape[1]} does not match model d={self.W.shape[0]}")
-        return X @ self.W + self.b
+        return self.head(self.features(X))[0]
 
     def backward_from_logits(self, X, dZ):
-        X = np.asarray(X, dtype=np.float64)
-        return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
+        return self.head_backward(self.features(X), None, dZ)
 
 
 class KernelModel(ClusterModel):
@@ -128,9 +162,10 @@ class KernelModel(ClusterModel):
         self.A = np.asarray(A, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         self.X_ref = np.asarray(X_ref, dtype=np.float64)
-        self.spec = spec.resolve(self.X_ref)
-        if self.A.shape[0] != self.X_ref.shape[0] or self.b.shape != (self.A.shape[1],):
+        if self.A.ndim != 2 or self.A.shape[0] != self.X_ref.shape[0] or self.b.shape != (self.A.shape[1],):
             raise ValueError("A must be n_ref x K with b length K")
+        _check_finite(self.A, self.b, self.X_ref)
+        self.spec = spec.resolve(self.X_ref)
 
     @property
     def params(self):
@@ -140,14 +175,20 @@ class KernelModel(ClusterModel):
     def n_clusters(self):
         return self.A.shape[1]
 
-    def _kappa(self, X):
+    def features(self, X):
         return gram(np.asarray(X, dtype=np.float64), self.X_ref, self.spec).values
 
+    def head(self, F):
+        return F @ self.A + self.b, None
+
+    def head_backward(self, F, saved, dZ):
+        return {"A": F.T @ dZ, "b": dZ.sum(axis=0)}
+
     def logits(self, X):
-        return self._kappa(X) @ self.A + self.b
+        return self.head(self.features(X))[0]
 
     def backward_from_logits(self, X, dZ):
-        return {"A": self._kappa(X).T @ dZ, "b": dZ.sum(axis=0)}
+        return self.head_backward(self.features(X), None, dZ)
 
     def _extra_dict(self):
         return {"X_ref": self.X_ref.tolist(), "kernel": self.spec.to_dict()}
@@ -164,10 +205,11 @@ class MlpModel(ClusterModel):
         self.b1 = np.asarray(b1, dtype=np.float64)
         self.W2 = np.asarray(W2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
-        if self.W1.shape[1] != self.W2.shape[0]:
+        if self.W1.ndim != 2 or self.W2.ndim != 2 or self.W1.shape[1] != self.W2.shape[0]:
             raise ValueError("hidden dimensions of W1 and W2 disagree")
         if self.b1.shape != (self.W1.shape[1],) or self.b2.shape != (self.W2.shape[1],):
             raise ValueError("bias shapes do not match weights")
+        _check_finite(self.W1, self.b1, self.W2, self.b2)
 
     @property
     def params(self):
@@ -177,24 +219,30 @@ class MlpModel(ClusterModel):
     def n_clusters(self):
         return self.W2.shape[1]
 
-    def logits(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.W1.shape[0]:
-            raise ValueError(f"input dimension {X.shape[1]} does not match model d={self.W1.shape[0]}")
-        H = np.maximum(X @ self.W1 + self.b1, 0.0)
-        return H @ self.W2 + self.b2
+    def features(self, X):
+        return _checked_input(X, self.W1.shape[0])
 
-    def backward_from_logits(self, X, dZ):
-        X = np.asarray(X, dtype=np.float64)
-        pre = X @ self.W1 + self.b1
+    def head(self, F):
+        pre = F @ self.W1 + self.b1
         H = np.maximum(pre, 0.0)
+        return H @ self.W2 + self.b2, (pre, H)
+
+    def head_backward(self, F, saved, dZ):
+        pre, H = saved
         dH = (dZ @ self.W2.T) * (pre > 0)
         return {
-            "W1": X.T @ dH,
+            "W1": F.T @ dH,
             "b1": dH.sum(axis=0),
             "W2": H.T @ dZ,
             "b2": dZ.sum(axis=0),
         }
+
+    def logits(self, X):
+        return self.head(self.features(X))[0]
+
+    def backward_from_logits(self, X, dZ):
+        F = self.features(X)
+        return self.head_backward(F, self.head(F)[1], dZ)
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:
@@ -202,7 +250,11 @@ def dataset_fingerprint(X: np.ndarray) -> str:
 
 
 class NonparametricModel(ClusterModel):
-    """Free per-sample logit table, defined only on the bound training set."""
+    """Free per-sample logit table, defined only on the bound training set.
+
+    Its features are the bound X itself, checked against the fingerprint;
+    the head ignores them and returns the table.
+    """
 
     kind = "nonparametric"
     weight_keys = ()
@@ -211,6 +263,7 @@ class NonparametricModel(ClusterModel):
         self.L = np.asarray(L, dtype=np.float64)
         if self.L.ndim != 2:
             raise ValueError("L must be n x K")
+        _check_finite(self.L)
         self.fingerprint = fingerprint
 
     @property
@@ -221,18 +274,23 @@ class NonparametricModel(ClusterModel):
     def n_clusters(self):
         return self.L.shape[1]
 
-    def _check_bound(self, X):
+    def features(self, X):
         X = np.asarray(X, dtype=np.float64)
         if X.shape[0] != self.L.shape[0] or dataset_fingerprint(X) != self.fingerprint:
             raise ValueError("nonparametric model does not generalise: X is not the bound training set")
+        return X
+
+    def head(self, F):
+        return self.L.copy(), None
+
+    def head_backward(self, F, saved, dZ):
+        return {"L": dZ.copy()}
 
     def logits(self, X):
-        self._check_bound(X)
-        return self.L.copy()
+        return self.head(self.features(X))[0]
 
     def backward_from_logits(self, X, dZ):
-        self._check_bound(X)
-        return {"L": dZ.copy()}
+        return self.head_backward(self.features(X), None, dZ)
 
     def _extra_dict(self):
         return {"fingerprint": self.fingerprint}

@@ -127,38 +127,46 @@ def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: 
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def training_gram(X, cfg: TrainConfig):
+def training_gram(X, objective: str, kernel: KernelSpec | None = None):
     """Training-set Gram for mmd-gemini; None for the other objectives."""
-    if cfg.objective != "mmd-gemini":
+    if objective != "mmd-gemini":
         return None
     values = _as_values(X)
-    spec = (cfg.kernel or KernelSpec("rbf")).resolve(values)
+    spec = (kernel or KernelSpec("rbf")).resolve(values)
     return gram(values, values, spec)
+
+
+def _total_gradient(model: ClusterModel, tape: tuple, obj) -> dict:
+    """Backward over the step's tape, plus the objective's direct parameter terms."""
+    grads = model.step_backward(tape, obj.grad_resp)
+    for name, extra in obj.grad_params.items():
+        grads[name] = grads[name] + extra
+    return grads
 
 
 def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     """Full-batch Adam ascent of the configured objective.
 
-    Deterministic given (model init, cfg); raises NumericError when the
-    objective turns non-finite.
+    The model's features of X are built once; each epoch runs the head
+    once and backpropagates over the intermediates it kept. Deterministic
+    given (model init, cfg); raises NumericError when the objective turns
+    non-finite.
     """
     values = _as_values(X)
-    G = training_gram(values, cfg)
+    G = training_gram(values, cfg.objective, cfg.kernel)
     opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
     start = time.perf_counter()
+    F = model.features(values)
     for epoch in range(cfg.epochs):
-        P = model.forward(values)
+        P, tape = model.step(F)
         obj = evaluate_objective(model, P, cfg.objective, cfg.lam, G)
         if not np.isfinite(obj.value):
             raise NumericError(f"objective became non-finite at epoch {epoch}: {obj.value}")
         history.append(obj.value)
-        grads = model.backward(values, obj.grad_resp)
-        for name, extra in obj.grad_params.items():
-            grads[name] = grads[name] + extra
-        opt.step(grads)
+        opt.step(_total_gradient(model, tape, obj))
     elapsed = time.perf_counter() - start
-    labels = predict(model, values)
+    labels = np.argmax(model.step(F)[0], axis=1)
     config = dict(cfg.to_dict(), model=model.kind)
     if G is not None:
         config["kernel"] = G.spec.to_dict()
@@ -202,20 +210,14 @@ def check_gradients(
     parameter.
     """
     values = _as_values(X)
-    G = None
-    if objective == "mmd-gemini":
-        spec = (kernel or KernelSpec("rbf")).resolve(values)
-        G = gram(values, values, spec)
+    G = training_gram(values, objective, kernel)
+    F = model.features(values)
 
-    def total(m):
-        obj = evaluate_objective(m, m.forward(values), objective, lam, G)
-        return obj.value
+    def total():
+        return evaluate_objective(model, model.step(F)[0], objective, lam, G).value
 
-    P = model.forward(values)
-    obj = evaluate_objective(model, P, objective, lam, G)
-    analytic = model.backward(values, obj.grad_resp)
-    for name, extra in obj.grad_params.items():
-        analytic[name] = analytic[name] + extra
+    P, tape = model.step(F)
+    analytic = _total_gradient(model, tape, evaluate_objective(model, P, objective, lam, G))
 
     max_rel = 0.0
     per_param = {}
@@ -224,9 +226,9 @@ def check_gradients(
         for i in range(arr.size):
             orig = arr.flat[i]
             arr.flat[i] = orig + h
-            up = total(model)
+            up = total()
             arr.flat[i] = orig - h
-            down = total(model)
+            down = total()
             arr.flat[i] = orig
             numeric[i] = (up - down) / (2 * h)
         numeric = numeric.reshape(arr.shape)

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +172,42 @@ def test_io_error_exit_code(tmp_path):
     assert main(["fit", "--model", "kmeans", "--data", str(tmp_path / "missing.csv"),
                  "--out-dir", str(tmp_path)]) == 4
     assert main(["fit", "--config", str(tmp_path / "missing.cfg"), "--model", "kmeans"]) == 4
+
+
+def run_cli(*argv):
+    """Run the CLI as a user does, in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "miclust.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["", "f0,f1,label\n", "f0,f1,label\n0.1,0.2,0\n0.3,1\n"],
+    ids=["empty", "header-only", "ragged"],
+)
+def test_bad_csv_exits_2_without_traceback(tmp_path, content):
+    data = tmp_path / "bad.csv"
+    data.write_text(content)
+    proc = run_cli("fit", "--model", "kmeans", "--data", str(data), "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_config_without_path_exits_2_without_traceback():
+    proc = run_cli("fit", "--config")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_boundary_zero_resolution_exits_2_without_traceback(tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"kind": "linear", "params": {"W": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]}}))
+    out = tmp_path / "grid.csv"
+    proc = run_cli("boundary", "--model", str(model_path), "--resolution", "0", "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -134,3 +134,14 @@ def test_shape_validation():
     model = LinearModel(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError, match="dimension"):
         model.logits(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
+def test_load_model_rejects_non_finite_parameters(kind):
+    X = make_rng(9).normal(size=(5, 2))
+    kwargs = {"X_ref": X} if kind == "kernel" else {"X": X} if kind == "nonparametric" else {}
+    doc = json.loads(init_model(kind, {"d": 2, "k": 2, "hidden": 3}, rng=0, **kwargs).to_json())
+    name = next(iter(doc["params"]))
+    doc["params"][name][0][0] = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        load_model(json.dumps(doc))

@@ -1,0 +1,145 @@
+"""The one-pass training step against the per-epoch public-API loop.
+
+`fit`, `train_contrastive` and `check_gradients` build each fit's features
+once and let backward reuse the forward's intermediates. The reference loops
+here call the public `forward`/`backward` (or `logits`/`backward_from_logits`)
+every epoch, rebuilding everything from X, and must give byte-identical
+reports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import miclust as mc
+import miclust.models
+import miclust.optim
+from miclust import FitReport, TrainConfig
+from miclust.data import make_rng
+from miclust.optim import Adam, evaluate_objective, training_gram
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def reference_fit(model, X, cfg: TrainConfig) -> str:
+    """The per-epoch loop over the public forward/backward, as a report JSON."""
+    G = training_gram(X, cfg.objective, cfg.kernel)
+    opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    history = []
+    for _ in range(cfg.epochs):
+        obj = evaluate_objective(model, model.forward(X), cfg.objective, cfg.lam, G)
+        history.append(obj.value)
+        grads = model.backward(X, obj.grad_resp)
+        for name, extra in obj.grad_params.items():
+            grads[name] = grads[name] + extra
+        opt.step(grads)
+    config = dict(cfg.to_dict(), model=model.kind)
+    if G is not None:
+        config["kernel"] = G.spec.to_dict()
+    labels = mc.predict(model, X).tolist()
+    return FitReport(history, json.loads(model.to_json()), labels, config, 0.0).to_json()
+
+
+def reference_contrastive(critic, X, aug, cfg: TrainConfig) -> str:
+    """The per-epoch contrastive loop over the public logits/backward_from_logits."""
+    gen = make_rng(cfg.seed)
+    opt = Adam(critic.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    history = []
+    for _ in range(cfg.epochs):
+        X_aug = mc.augment(X, aug, gen)
+        loss, dZ = mc.info_nce_loss(critic.logits(X), critic.logits(X_aug))
+        history.append(loss)
+        opt.step(critic.backward_from_logits(X, -dZ))
+    config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())
+    labels = mc.extract_clusters(critic, X).tolist()
+    return FitReport(history, json.loads(critic.to_json()), labels, config, 0.0).to_json()
+
+
+@pytest.fixture(scope="module")
+def circles():
+    return mc.standardize(mc.make_circles(40, 0.05, 0.1, 0))
+
+
+def make_model(kind, X, seed):
+    kwargs = {"X_ref": X} if kind == "kernel" else {"X": X} if kind == "nonparametric" else {}
+    return mc.init_model(kind, {"d": 2, "k": 3, "hidden": 6}, rng=seed, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
+@pytest.mark.parametrize("objective", ["mi", "rim", "mmd-gemini"])
+def test_fit_matches_per_epoch_reference(circles, kind, objective):
+    cfg = TrainConfig(epochs=40, learning_rate=1e-2, seed=3, objective=objective, lam=0.05)
+    fast = mc.fit(make_model(kind, circles.values, 3), circles.values, cfg).to_json()
+    assert fast == reference_fit(make_model(kind, circles.values, 3), circles.values, cfg)
+
+
+@pytest.mark.parametrize("aug", [mc.Rotation2D(0.0, 2 * np.pi), mc.GaussianNoise(0.5)], ids=["rotation", "noise"])
+def test_train_contrastive_matches_per_epoch_reference(circles, aug):
+    cfg = TrainConfig(epochs=60, learning_rate=1e-3, seed=2)
+    fast = mc.train_contrastive(mc.init_critic(2, 8, 2, rng=2), circles.values, aug, cfg).to_json()
+    assert fast == reference_contrastive(mc.init_critic(2, 8, 2, rng=2), circles.values, aug, cfg)
+
+
+def counting(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kernel_rim_builds_its_gram_once_per_fit(monkeypatch):
+    c = mc.standardize(mc.make_circles(200, 0.05, 0.1, 0))
+    model = mc.init_model("kernel", {"k": 2}, rng=0, X_ref=c.values)
+    calls = counting(monkeypatch, miclust.models, "gram")
+    optim_calls = counting(monkeypatch, miclust.optim, "gram")
+    mc.fit(model, c.values, TrainConfig(epochs=1000, seed=0, objective="rim"))
+    assert calls[0] + optim_calls[0] <= 2
+
+
+def test_nonparametric_fit_checks_its_binding_once(monkeypatch, circles):
+    calls = counting(monkeypatch, miclust.models, "dataset_fingerprint")
+    model = mc.init_model("nonparametric", {"k": 2}, rng=0, X=circles.values)
+    mc.fit(model, circles.values, TrainConfig(epochs=1000, objective="mi"))
+    assert calls[0] <= 2
+
+
+BLAS_SCRIPT = """
+import hashlib
+import miclust as mc
+from miclust import TrainConfig
+c = mc.standardize(mc.make_circles(200, 0.05, 0.1, 0))
+X = c.values
+reports = [
+    mc.fit(mc.init_model("kernel", {"k": 2}, rng=1, X_ref=X), X, TrainConfig(epochs=300, seed=1, objective="rim")),
+    mc.fit(mc.init_model("mlp", {"d": 2, "k": 2, "hidden": 20}, rng=1), X,
+           TrainConfig(epochs=300, seed=1, objective="mmd-gemini")),
+    mc.train_contrastive(mc.init_critic(2, 20, 2, rng=1), X, mc.Rotation2D(0.0, 6.2832),
+                         TrainConfig(epochs=300, learning_rate=1e-4, seed=1)),
+]
+for r in reports:
+    print(hashlib.sha256(r.to_json().encode()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_blas_thread_count():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_SCRIPT], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
