@@ -43,14 +43,21 @@ def _kernel_spec(args) -> KernelSpec:
 
 
 def _load_config_file(path: str) -> list[str]:
-    """Turn `key = value` lines into leading CLI flags (explicit flags win)."""
+    """Turn `key = value` lines into leading CLI flags (explicit flags win).
+
+    A value of `true` sets the bare flag, as for `--standardize`; `false` leaves it out.
+    """
     extra = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        extra += [f"--{key.strip().replace('_', '-')}", value.strip()]
+        flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+        if value == "true":
+            extra.append(flag)
+        elif value != "false":
+            extra += [flag, value]
     return extra
 
 
@@ -85,25 +92,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_gradient_model(args, X: data_mod.DataMatrix):
+def _run_model(args, X: data_mod.DataMatrix):
+    """Run the `--model` id on X: the report, its labels and the kernel its metrics score with."""
     spec = _kernel_spec(args)
+    start = time.perf_counter()
+    if args.model == "kmeans":
+        labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
+        final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
+        config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
+        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start), labels, None
+    if args.model == "spectral":
+        labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
+        config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
+        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start), labels, spec
     objective = args.objective
-    model_id = args.model
     if objective is None:
-        objective = "rim" if model_id in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
-    kind = {"linear-rim": "linear", "kernel-rim": "kernel"}.get(model_id, model_id)
+        objective = "rim" if args.model in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
+    kind = {"linear-rim": "linear", "kernel-rim": "kernel"}.get(args.model, args.model)
     reg = args.reg
     if reg is None:
         # an unregularized linear model drifts to huge weights and an
         # arbitrary cut; the kernel model is well behaved without a penalty
         reg = 0.1 if (objective == "rim" and kind == "linear") else 0.0
     dims = {"d": X.d, "k": args.k, "hidden": args.hidden}
-    if kind == "kernel":
-        model = init_model("kernel", dims, rng=args.seed, X_ref=X.values, spec=spec)
-    elif kind == "nonparametric":
-        model = init_model("nonparametric", dims, rng=args.seed, X=X.values)
-    else:
-        model = init_model(kind, dims, rng=args.seed)
+    model = init_model(kind, dims, rng=args.seed, X_ref=X.values, spec=spec, X=X.values)
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -121,31 +133,8 @@ def cmd_fit(args) -> int:
     X = data_mod.load_csv(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.model == "kmeans":
-        start = time.perf_counter()
-        labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
-        report = FitReport(
-            history=[],
-            final_model={"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia},
-            labels=labels.tolist(),
-            config={"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed},
-            elapsed=time.perf_counter() - start,
-        )
-        spec = None
-    elif args.model == "spectral":
-        start = time.perf_counter()
-        spec = _kernel_spec(args)
-        labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
-        report = FitReport(
-            history=[],
-            final_model={"kind": "spectral"},
-            labels=labels.tolist(),
-            config={"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()},
-            elapsed=time.perf_counter() - start,
-        )
-    else:
-        report, labels, spec = _fit_gradient_model(args, X)
-    report.metrics = _compute_metrics(X, np.asarray(labels), spec)
+    report, labels, spec = _run_model(args, X)
+    report.metrics = _compute_metrics(X, labels, spec)
     (out_dir / "report.json").write_text(report.to_json())
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -165,13 +154,15 @@ def cmd_fit(args) -> int:
 
 def cmd_boundary(args) -> int:
     doc = json.loads(Path(args.model).read_text())
-    if "kind" not in doc and "model" in doc:
+    if isinstance(doc, dict) and "kind" not in doc and "model" in doc:
         doc = doc["model"]  # accept a full report.json too
-    if doc.get("kind") in ("nonparametric", "spectral"):
+    if isinstance(doc, dict) and doc.get("kind") in ("nonparametric", "spectral"):
         raise ValueError("model does not generalise; cannot draw a decision boundary")
     if args.resolution < 1:
         raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     model = load_model(doc)
+    if not args.critic and model.n_clusters < 2:
+        raise ValueError(f"boundary exports p(cluster 2), so it needs a model with k >= 2, got k={model.n_clusters}")
     xs = np.linspace(args.xmin, args.xmax, args.resolution)
     ys = np.linspace(args.ymin, args.ymax, args.resolution)
     gx, gy = np.meshgrid(xs, ys)
@@ -204,20 +195,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in ks:
         for seed in seeds:
-            sub = argparse.Namespace(**vars(args))
-            sub.k, sub.seed = k, seed
-            if args.model == "kmeans":
-                labels, _, inertia = baselines.kmeans(X.values, k, n_init=args.n_init, rng=seed)
-                objective_value = -inertia
-                spec = None
-            elif args.model == "spectral":
-                spec = _kernel_spec(args)
-                labels = baselines.spectral(X.values, k, spec, rng=seed)
-                objective_value = float("nan")
-            else:
-                report, labels, spec = _fit_gradient_model(sub, X)
-                objective_value = report.history[-1] if report.history else float("nan")
-            labels = np.asarray(labels)
+            report, labels, spec = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
+            # k-means reports no history; its objective is the negated inertia
+            objective_value = report.history[-1] if report.history else -report.final_model.get("inertia", float("nan"))
             m = _compute_metrics(X, labels, spec)
             shares = np.bincount(labels, minlength=k) / labels.size
             used = int((shares > 1.0 / (10 * k)).sum())

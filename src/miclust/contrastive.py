@@ -8,16 +8,13 @@ Clusters are extracted as the per-sample argmax of the critic outputs.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from miclust.data import DataMatrix, make_rng
-from miclust.errors import NumericError
+from miclust.data import make_rng
 from miclust.models import MlpModel
-from miclust.optim import Adam, FitReport, TrainConfig
+from miclust.optim import FitReport, TrainConfig, _as_values, _train
 
 
 @dataclass(frozen=True)
@@ -27,8 +24,8 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def describe(self) -> str:
         return f"noise:{self.sigma}"
@@ -42,6 +39,8 @@ class Rotation2D:
     hi: float = 2 * np.pi
 
     def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError(f"angle range must be finite: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"angle range is empty: [{self.lo}, {self.hi}]")
 
@@ -127,34 +126,20 @@ def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:
     The clean branch's features are built once; each epoch runs the critic's
     head on them once and backpropagates over the intermediates it kept.
     """
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
+    values = _as_values(X)
     gen = make_rng(cfg.seed)
-    opt = Adam(critic.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    history = []
-    start = time.perf_counter()
     F = critic.features(values)
-    for epoch in range(cfg.epochs):
+
+    def epoch():
         X_aug = augment(values, aug, gen)
         Z, saved = critic.head(F)
-        Z_aug = critic.logits(X_aug)
-        loss, dZ = info_nce_loss(Z, Z_aug)
-        if not np.isfinite(loss):
-            raise NumericError(f"contrastive loss became non-finite at epoch {epoch}")
-        history.append(loss)
-        opt.step(critic.head_backward(F, saved, -dZ))  # ascend the negated loss
-    elapsed = time.perf_counter() - start
-    labels = np.argmax(critic.head(F)[0], axis=1)
+        loss, dZ = info_nce_loss(Z, critic.logits(X_aug))
+        return loss, lambda: critic.head_backward(F, saved, -dZ)  # ascend the negated loss
+
     config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())
-    return FitReport(
-        history=history,
-        final_model=json.loads(critic.to_json()),
-        labels=labels.tolist(),
-        config=config,
-        elapsed=elapsed,
-    )
+    return _train(critic, cfg, epoch, lambda: critic.head(F)[0], config)
 
 
 def extract_clusters(critic: MlpModel, X) -> np.ndarray:
     """Per-row argmax of the raw critic outputs; ties go to the lowest index."""
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
-    return np.argmax(critic.logits(values), axis=1)
+    return np.argmax(critic.logits(_as_values(X)), axis=1)

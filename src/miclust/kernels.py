@@ -33,7 +33,7 @@ class KernelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "KernelSpec":
-        return KernelSpec(d["kind"], d.get("gamma"))
+        return KernelSpec(d.get("kind"), d.get("gamma"))
 
 
 @dataclass

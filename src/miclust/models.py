@@ -56,12 +56,15 @@ class ClusterModel:
     """Shared one-pass training step; subclasses provide features and the head."""
 
     kind = "abstract"
-    # parameter names whose Frobenius norm is penalized by RIM
+    # parameter names, in constructor order; RIM penalizes the Frobenius norm of the weight_keys
+    param_names: tuple = ()
     weight_keys: tuple = ()
+    # document keys besides kind and params, passed to the constructor after the parameters
+    extra_keys: tuple = ()
 
     @property
     def params(self) -> dict:
-        raise NotImplementedError
+        return {name: getattr(self, name) for name in self.param_names}
 
     def features(self, X: np.ndarray) -> np.ndarray:
         """Validate X and map it to the parameter-free input of the head."""
@@ -96,6 +99,13 @@ class ClusterModel:
     def backward(self, X: np.ndarray, dP: np.ndarray) -> dict:
         return self.step_backward(self.step(self.features(X))[1], dP)
 
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        return self.head(self.features(X))[0]
+
+    def backward_from_logits(self, X: np.ndarray, dZ: np.ndarray) -> dict:
+        F = self.features(X)
+        return self.head_backward(F, self.head(F)[1], dZ)
+
     @property
     def n_clusters(self) -> int:
         raise NotImplementedError
@@ -105,6 +115,10 @@ class ClusterModel:
 
     def _extra_dict(self) -> dict:
         return {}
+
+    @classmethod
+    def _from_doc(cls, params: list, doc: dict) -> "ClusterModel":
+        return cls(*params, *(doc[key] for key in cls.extra_keys))
 
     def to_json(self) -> str:
         doc = {
@@ -116,21 +130,18 @@ class ClusterModel:
 
 
 class LinearModel(ClusterModel):
-    """Logistic regression: softmax(W^T x + b)."""
+    """Logistic regression on the head's features: softmax(F W + b), with F = X."""
 
     kind = "linear"
+    param_names = ("W", "b")
     weight_keys = ("W",)
 
     def __init__(self, W: np.ndarray, b: np.ndarray):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
-            raise ValueError("W must be d x K and b length K")
+            raise ValueError(f"{self.weight_keys[0]} must be a 2-d matrix with K columns and b of length K")
         _check_finite(self.W, self.b)
-
-    @property
-    def params(self):
-        return {"W": self.W, "b": self.b}
 
     @property
     def n_clusters(self):
@@ -143,61 +154,55 @@ class LinearModel(ClusterModel):
         return F @ self.W + self.b, None
 
     def head_backward(self, F, saved, dZ):
-        return {"W": F.T @ dZ, "b": dZ.sum(axis=0)}
+        return {self.weight_keys[0]: F.T @ dZ, "b": dZ.sum(axis=0)}
 
-    def logits(self, X):
-        return self.head(self.features(X))[0]
-
-    def backward_from_logits(self, X, dZ):
-        return self.head_backward(self.features(X), None, dZ)
+    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
+    logits = ClusterModel.logits
+    backward_from_logits = ClusterModel.backward_from_logits
 
 
-class KernelModel(ClusterModel):
-    """Kernelized softmax over a fixed reference set: softmax(A^T kappa(x) + b)."""
+class KernelModel(LinearModel):
+    """Kernel RIM head: the linear head on the features kappa(X, X_ref), softmax(kappa A + b)."""
 
     kind = "kernel"
+    param_names = ("A", "b")
     weight_keys = ("A",)
+    extra_keys = ("X_ref", "kernel")
 
     def __init__(self, A: np.ndarray, b: np.ndarray, X_ref: np.ndarray, spec: KernelSpec):
-        self.A = np.asarray(A, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        super().__init__(A, b)
         self.X_ref = np.asarray(X_ref, dtype=np.float64)
-        if self.A.ndim != 2 or self.A.shape[0] != self.X_ref.shape[0] or self.b.shape != (self.A.shape[1],):
-            raise ValueError("A must be n_ref x K with b length K")
-        _check_finite(self.A, self.b, self.X_ref)
+        if self.X_ref.ndim != 2 or self.X_ref.shape[0] != self.W.shape[0]:
+            raise ValueError("X_ref must be n_ref x d, one row per row of A")
+        _check_finite(self.X_ref)
         self.spec = spec.resolve(self.X_ref)
 
     @property
-    def params(self):
-        return {"A": self.A, "b": self.b}
-
-    @property
-    def n_clusters(self):
-        return self.A.shape[1]
+    def A(self):
+        return self.W
 
     def features(self, X):
         return gram(np.asarray(X, dtype=np.float64), self.X_ref, self.spec).values
 
-    def head(self, F):
-        return F @ self.A + self.b, None
-
-    def head_backward(self, F, saved, dZ):
-        return {"A": F.T @ dZ, "b": dZ.sum(axis=0)}
-
-    def logits(self, X):
-        return self.head(self.features(X))[0]
-
-    def backward_from_logits(self, X, dZ):
-        return self.head_backward(self.features(X), None, dZ)
+    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
+    logits = ClusterModel.logits
+    backward_from_logits = ClusterModel.backward_from_logits
 
     def _extra_dict(self):
         return {"X_ref": self.X_ref.tolist(), "kernel": self.spec.to_dict()}
+
+    @classmethod
+    def _from_doc(cls, params, doc):
+        if not isinstance(doc["kernel"], dict):
+            raise ValueError("kernel model document needs a 'kernel' object")
+        return cls(*params, doc["X_ref"], KernelSpec.from_dict(doc["kernel"]))
 
 
 class MlpModel(ClusterModel):
     """One-hidden-layer rectifier network: softmax(W2^T relu(W1^T x + b1) + b2)."""
 
     kind = "mlp"
+    param_names = ("W1", "b1", "W2", "b2")
     weight_keys = ("W1", "W2")
 
     def __init__(self, W1, b1, W2, b2):
@@ -210,10 +215,6 @@ class MlpModel(ClusterModel):
         if self.b1.shape != (self.W1.shape[1],) or self.b2.shape != (self.W2.shape[1],):
             raise ValueError("bias shapes do not match weights")
         _check_finite(self.W1, self.b1, self.W2, self.b2)
-
-    @property
-    def params(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
     @property
     def n_clusters(self):
@@ -237,12 +238,9 @@ class MlpModel(ClusterModel):
             "b2": dZ.sum(axis=0),
         }
 
-    def logits(self, X):
-        return self.head(self.features(X))[0]
-
-    def backward_from_logits(self, X, dZ):
-        F = self.features(X)
-        return self.head_backward(F, self.head(F)[1], dZ)
+    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
+    logits = ClusterModel.logits
+    backward_from_logits = ClusterModel.backward_from_logits
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:
@@ -257,7 +255,8 @@ class NonparametricModel(ClusterModel):
     """
 
     kind = "nonparametric"
-    weight_keys = ()
+    param_names = ("L",)
+    extra_keys = ("fingerprint",)
 
     def __init__(self, L: np.ndarray, fingerprint: str):
         self.L = np.asarray(L, dtype=np.float64)
@@ -265,10 +264,6 @@ class NonparametricModel(ClusterModel):
             raise ValueError("L must be n x K")
         _check_finite(self.L)
         self.fingerprint = fingerprint
-
-    @property
-    def params(self):
-        return {"L": self.L}
 
     @property
     def n_clusters(self):
@@ -286,14 +281,15 @@ class NonparametricModel(ClusterModel):
     def head_backward(self, F, saved, dZ):
         return {"L": dZ.copy()}
 
-    def logits(self, X):
-        return self.head(self.features(X))[0]
-
-    def backward_from_logits(self, X, dZ):
-        return self.head_backward(self.features(X), None, dZ)
+    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
+    logits = ClusterModel.logits
+    backward_from_logits = ClusterModel.backward_from_logits
 
     def _extra_dict(self):
         return {"fingerprint": self.fingerprint}
+
+
+MODEL_KINDS = {cls.kind: cls for cls in (LinearModel, KernelModel, MlpModel, NonparametricModel)}
 
 
 def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwargs) -> ClusterModel:
@@ -326,11 +322,10 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         spec = kwargs.get("spec") or KernelSpec("rbf")
         n_ref = X_ref.shape[0]
         # kernel features are O(1) each and there are n_ref of them, so the
-        # logits need a much smaller init than 1/sqrt(fan-in) to start near
-        # the uniform responsibilities that gradient ascent escapes cleanly
-        s = scale if scale is not None else 1.0 / n_ref
-        A = gen.normal(0.0, 1.0, size=(n_ref, K)) * s
-        return KernelModel(A, np.zeros(K), X_ref, spec)
+        # logits need a much smaller init than 1/sqrt(n_ref) to start near the
+        # uniform responsibilities that gradient ascent escapes cleanly: the
+        # default scale is 1/n_ref, i.e. a fan-in of n_ref**2
+        return KernelModel(draw((n_ref, K), n_ref**2), np.zeros(K), X_ref, spec)
     if kind == "mlp":
         d, H = dims["d"], dims.get("hidden", 20)
         if H < 1:
@@ -343,17 +338,28 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
 
 
 def load_model(doc) -> ClusterModel:
-    """Rebuild a model from its JSON document (string or parsed dict)."""
+    """Rebuild a model from its JSON document (string or parsed dict).
+
+    Raises ValueError when the document is not a model of a known kind with
+    exactly that kind's parameters and extra keys.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    kind = doc["kind"]
-    p = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
-    if kind == "linear":
-        return LinearModel(p["W"], p["b"])
-    if kind == "kernel":
-        return KernelModel(p["A"], p["b"], np.asarray(doc["X_ref"]), KernelSpec.from_dict(doc["kernel"]))
-    if kind == "mlp":
-        return MlpModel(p["W1"], p["b1"], p["W2"], p["b2"])
-    if kind == "nonparametric":
-        return NonparametricModel(p["L"], doc["fingerprint"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    kind = doc.get("kind")
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODEL_KINDS)}")
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"{cls.kind} model document needs a 'params' object")
+    if set(params) != set(cls.param_names):
+        raise ValueError(f"{cls.kind} model needs params {list(cls.param_names)}, got {sorted(params)}")
+    missing = [key for key in cls.extra_keys if key not in doc]
+    if missing:
+        raise ValueError(f"{cls.kind} model document lacks {missing}")
+    try:
+        return cls._from_doc([np.asarray(params[name], dtype=np.float64) for name in cls.param_names], doc)
+    except TypeError as exc:  # a value of the wrong JSON type, such as an object where numbers belong
+        raise ValueError(f"malformed {cls.kind} model document: {exc}") from exc

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,17 +46,7 @@ class TrainConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "objective": self.objective,
-            "lam": self.lam,
-            "kernel": self.kernel.to_dict() if self.kernel is not None else None,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -119,7 +109,7 @@ def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: 
     if objective == "mi":
         return mi(P)
     if objective == "rim":
-        return rim(P, {k: model.params[k] for k in model.weight_keys}, lam)
+        return rim(P, {k: getattr(model, k) for k in model.weight_keys}, lam)
     if objective == "mmd-gemini":
         if gram_values is None:
             raise ValueError("mmd-gemini requires a kernel Gram matrix of the training set")
@@ -136,12 +126,48 @@ def training_gram(X, objective: str, kernel: KernelSpec | None = None):
     return gram(values, values, spec)
 
 
-def _total_gradient(model: ClusterModel, tape: tuple, obj) -> dict:
-    """Backward over the step's tape, plus the objective's direct parameter terms."""
-    grads = model.step_backward(tape, obj.grad_resp)
-    for name, extra in obj.grad_params.items():
-        grads[name] = grads[name] + extra
-    return grads
+def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: float, G):
+    """Per-epoch closure of an objective on fixed features F.
+
+    Each call runs the head once and returns (value, gradient), where
+    `gradient()` backpropagates over the kept intermediates and adds the
+    objective's direct parameter terms.
+    """
+
+    def epoch():
+        P, tape = model.step(F)
+        obj = evaluate_objective(model, P, objective, lam, G)
+
+        def gradient():
+            grads = model.step_backward(tape, obj.grad_resp)
+            for name, extra in obj.grad_params.items():
+                grads[name] = grads[name] + extra
+            return grads
+
+        return obj.value, gradient
+
+    return epoch
+
+
+def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -> FitReport:
+    """The Adam ascent loop that `fit` and `train_contrastive` share.
+
+    `epoch()` returns (value, gradient) at the current parameters; the value
+    is checked before `gradient()` runs, so a non-finite objective raises
+    NumericError. The labels are the argmax of `scores()` after training.
+    """
+    opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    history = []
+    start = time.perf_counter()
+    for e in range(cfg.epochs):
+        value, gradient = epoch()
+        if not np.isfinite(value):
+            raise NumericError(f"objective became non-finite at epoch {e}: {value}")
+        history.append(value)
+        opt.step(gradient())
+    elapsed = time.perf_counter() - start
+    labels = np.argmax(scores(), axis=1).tolist()
+    return FitReport(history, json.loads(model.to_json()), labels, config, elapsed)
 
 
 def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
@@ -154,29 +180,12 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     """
     values = _as_values(X)
     G = training_gram(values, cfg.objective, cfg.kernel)
-    opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    history = []
-    start = time.perf_counter()
     F = model.features(values)
-    for epoch in range(cfg.epochs):
-        P, tape = model.step(F)
-        obj = evaluate_objective(model, P, cfg.objective, cfg.lam, G)
-        if not np.isfinite(obj.value):
-            raise NumericError(f"objective became non-finite at epoch {epoch}: {obj.value}")
-        history.append(obj.value)
-        opt.step(_total_gradient(model, tape, obj))
-    elapsed = time.perf_counter() - start
-    labels = np.argmax(model.step(F)[0], axis=1)
     config = dict(cfg.to_dict(), model=model.kind)
     if G is not None:
         config["kernel"] = G.spec.to_dict()
-    return FitReport(
-        history=history,
-        final_model=json.loads(model.to_json()),
-        labels=labels.tolist(),
-        config=config,
-        elapsed=elapsed,
-    )
+    epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
+    return _train(model, cfg, epoch, lambda: model.step(F)[0], config)
 
 
 def predict(model: ClusterModel, X) -> np.ndarray:
@@ -211,13 +220,8 @@ def check_gradients(
     """
     values = _as_values(X)
     G = training_gram(values, objective, kernel)
-    F = model.features(values)
-
-    def total():
-        return evaluate_objective(model, model.step(F)[0], objective, lam, G).value
-
-    P, tape = model.step(F)
-    analytic = _total_gradient(model, tape, evaluate_objective(model, P, objective, lam, G))
+    epoch = _objective_epoch(model, model.features(values), objective, lam, G)
+    analytic = epoch()[1]()
 
     max_rel = 0.0
     per_param = {}
@@ -226,9 +230,9 @@ def check_gradients(
         for i in range(arr.size):
             orig = arr.flat[i]
             arr.flat[i] = orig + h
-            up = total()
+            up = epoch()[0]
             arr.flat[i] = orig - h
-            down = total()
+            down = epoch()[0]
             arr.flat[i] = orig
             numeric[i] = (up - down) / (2 * h)
         numeric = numeric.reshape(arr.shape)

@@ -211,3 +211,46 @@ def test_boundary_zero_resolution_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [{"kind": "linear"}, [1, 2]], ids=["no-params", "list"])
+def test_boundary_malformed_model_exits_2_without_traceback(tmp_path, doc):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    proc = run_cli("boundary", "--model", str(model_path), "--resolution", "3", "--out", str(tmp_path / "grid.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_boundary_one_cluster_model_exits_2_without_traceback(tmp_path, circles_csv):
+    out = tmp_path / "run"
+    assert main(["fit", "--model", "linear", "--k", "1", "--data", str(circles_csv),
+                 "--epochs", "3", "--out-dir", str(out)]) == 0
+    grid = tmp_path / "grid.csv"
+    proc = run_cli("boundary", "--model", str(out / "report.json"), "--resolution", "3", "--out", str(grid))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "k >= 2" in proc.stderr
+    assert not grid.exists()
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_file_sets_store_true_flag_of_generate(tmp_path, value):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"n = 30\nstandardize = {value}\n")
+    from_config = tmp_path / "config.csv"
+    assert main(["generate", "--config", str(cfg), "circles", "--out", str(from_config)]) == 0
+    from_flags = tmp_path / "flags.csv"
+    flags = ["--standardize"] if value == "true" else []
+    assert main(["generate", "circles", "--n", "30", *flags, "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def test_config_file_sets_store_true_flag_of_fit(tmp_path, circles_csv):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("model = mlp\nepochs = 4\nhistory_csv = true\n")
+    out = tmp_path / "run"
+    assert main(["fit", "--config", str(cfg), "--data", str(circles_csv), "--out-dir", str(out)]) == 0
+    with open(out / "history.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 5

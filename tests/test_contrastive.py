@@ -134,3 +134,18 @@ def test_train_contrastive_is_deterministic():
         cfg = TrainConfig(epochs=15, learning_rate=1e-3, seed=3)
         outs.append(train_contrastive(critic, X, Rotation2D(), cfg).to_json())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianNoise(float("nan")),
+        lambda: GaussianNoise(float("inf")),
+        lambda: Rotation2D(float("nan"), float("nan")),
+        lambda: Rotation2D(0.0, float("inf")),
+    ],
+    ids=["noise-nan", "noise-inf", "rotation-nan", "rotation-inf"],
+)
+def test_augmentations_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError):
+        make()

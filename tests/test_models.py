@@ -7,7 +7,7 @@ import pytest
 
 from miclust import KernelSpec, LinearModel, MlpModel, NonparametricModel, init_model, load_model
 from miclust.data import make_rng
-from miclust.models import dataset_fingerprint, log_softmax, softmax, softmax_backward
+from miclust.models import ClusterModel, KernelModel, dataset_fingerprint, log_softmax, softmax, softmax_backward
 
 
 def test_linear_hand_logits():
@@ -145,3 +145,61 @@ def test_load_model_rejects_non_finite_parameters(kind):
     doc["params"][name][0][0] = float("nan")
     with pytest.raises(ValueError, match="finite"):
         load_model(json.dumps(doc))
+
+
+def valid_doc(kind):
+    X = make_rng(10).normal(size=(5, 2))
+    kwargs = {"X_ref": X} if kind == "kernel" else {"X": X} if kind == "nonparametric" else {}
+    return json.loads(init_model(kind, {"d": 2, "k": 2, "hidden": 3}, rng=0, **kwargs).to_json())
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MALFORMED_DOCS = {
+    "list": lambda: [valid_doc("linear")],
+    "number": lambda: 3,
+    "string": lambda: "linear",
+    "unknown-kind": lambda: dict(valid_doc("linear"), kind="tree"),
+    "missing-kind": lambda: without(valid_doc("linear"), "kind"),
+    "kind-not-string": lambda: dict(valid_doc("linear"), kind=["linear"]),
+    "missing-params": lambda: {"kind": "linear"},
+    "params-not-object": lambda: dict(valid_doc("linear"), params=[[1.0, 2.0]]),
+    "missing-param": lambda: dict(valid_doc("mlp"), params=without(valid_doc("mlp")["params"], "b2")),
+    "extra-param": lambda: dict(valid_doc("linear"), params=dict(valid_doc("linear")["params"], c=[1.0])),
+    "kernel-param-names": lambda: dict(valid_doc("kernel"), params=valid_doc("linear")["params"]),
+    "missing-X_ref": lambda: without(valid_doc("kernel"), "X_ref"),
+    "missing-kernel": lambda: without(valid_doc("kernel"), "kernel"),
+    "param-not-numeric": lambda: dict(valid_doc("linear"), params={"W": {"a": 1.0}, "b": [0.0, 0.0]}),
+    "kernel-not-object": lambda: dict(valid_doc("kernel"), kernel="rbf"),
+    "gamma-not-number": lambda: dict(valid_doc("kernel"), kernel={"kind": "rbf", "gamma": "wide"}),
+    "kernel-without-kind": lambda: dict(valid_doc("kernel"), kernel={"gamma": 1.0}),
+    "missing-fingerprint": lambda: without(valid_doc("nonparametric"), "fingerprint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_load_model_rejects_malformed_documents(case):
+    doc = MALFORMED_DOCS[case]()
+    with pytest.raises(ValueError):
+        load_model(doc)
+    with pytest.raises(ValueError):
+        load_model(json.dumps(doc))
+
+
+def test_model_classes_bind_the_methods_the_benchmark_tracer_wraps():
+    # perfbench/tracing.py patches these names on the classes that define them
+    for cls in (LinearModel, KernelModel, MlpModel, NonparametricModel):
+        assert "logits" in vars(cls) and "backward_from_logits" in vars(cls), cls.__name__
+    assert "forward" in vars(ClusterModel) and "backward" in vars(ClusterModel)
+
+
+def test_kernel_head_is_a_linear_head_on_kernel_features():
+    X = make_rng(11).normal(size=(6, 2))
+    model = init_model("kernel", {"k": 3}, scale=0.5, rng=0, X_ref=X, spec=KernelSpec("rbf", 0.7))
+    assert isinstance(model, LinearModel)
+    F = model.features(X)
+    linear = LinearModel(model.params["A"], model.params["b"])
+    assert np.array_equal(model.logits(X), linear.logits(F))
+    assert model.weight_norm_sq() == float(np.sum(model.params["A"] ** 2))
