@@ -39,7 +39,7 @@ def _parse_aug(text: str):
 
 
 def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(getattr(args, "kernel", "rbf") or "rbf", getattr(args, "gamma", None))
+    return KernelSpec(args.kernel, args.gamma)
 
 
 def _load_config_file(path: str) -> list[str]:
@@ -61,7 +61,15 @@ def _load_config_file(path: str) -> list[str]:
     return extra
 
 
-def _compute_metrics(X: data_mod.DataMatrix, labels: np.ndarray, spec: KernelSpec | None) -> dict:
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
+    """The ARI against X's labels (when it has them) and the silhouette (None when undefined)."""
     out = {}
     if X.labels is not None:
         out["ari"] = metrics_mod.ari(X.labels, labels)
@@ -69,14 +77,22 @@ def _compute_metrics(X: data_mod.DataMatrix, labels: np.ndarray, spec: KernelSpe
         out["silhouette"] = metrics_mod.silhouette(X.values, labels)[0]
     except ValueError:
         out["silhouette"] = None
-    score_spec = spec if spec is not None else KernelSpec("linear")
-    try:
-        out["kernel_kmeans_score"] = baselines.kernel_kmeans_score(
-            labels, gram(X.values, X.values, score_spec)
-        )
-    except ValueError:
-        out["kernel_kmeans_score"] = None
     return out
+
+
+def _write_report(out_dir: Path, report: FitReport, X: data_mod.DataMatrix, spec: KernelSpec | None) -> None:
+    """Score the report's labels, write report.json into out_dir and print the metrics."""
+    labels = np.asarray(report.labels)
+    report.metrics = _scores(X, labels)
+    try:
+        score_gram = gram(X.values, X.values, spec if spec is not None else KernelSpec("linear"))
+        report.metrics["kernel_kmeans_score"] = baselines.kernel_kmeans_score(labels, score_gram)
+    except ValueError:
+        report.metrics["kernel_kmeans_score"] = None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(report.to_json())
+    for name, value in sorted(report.metrics.items()):
+        print(f"{name}: {value}")
 
 
 def cmd_generate(args) -> int:
@@ -93,18 +109,18 @@ def cmd_generate(args) -> int:
 
 
 def _run_model(args, X: data_mod.DataMatrix):
-    """Run the `--model` id on X: the report, its labels and the kernel its metrics score with."""
+    """Run the `--model` id on X: the report and the kernel its kernel K-means score uses."""
     spec = _kernel_spec(args)
     start = time.perf_counter()
     if args.model == "kmeans":
         labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
         final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
         config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
-        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start), labels, None
+        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start), None
     if args.model == "spectral":
         labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
         config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
-        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start), labels, spec
+        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start), spec
     objective = args.objective
     if objective is None:
         objective = "rim" if args.model in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
@@ -125,30 +141,17 @@ def _run_model(args, X: data_mod.DataMatrix):
         kernel=spec if objective == "mmd-gemini" else None,
     )
     report = fit(model, X.values, cfg)
-    used_spec = spec if kind == "kernel" or objective == "mmd-gemini" else None
-    return report, np.asarray(report.labels), used_spec
+    return report, spec if kind == "kernel" or objective == "mmd-gemini" else None
 
 
 def cmd_fit(args) -> int:
     X = data_mod.load_csv(args.data)
+    report, spec = _run_model(args, X)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report, labels, spec = _run_model(args, X)
-    report.metrics = _compute_metrics(X, labels, spec)
-    (out_dir / "report.json").write_text(report.to_json())
-    with open(out_dir / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"])
-        for i, lab in enumerate(labels):
-            writer.writerow([i, int(lab)])
+    _write_report(out_dir, report, X, spec)
+    _write_csv(out_dir / "labels.csv", ["index", "label"], enumerate(report.labels))
     if args.history_csv:
-        with open(out_dir / "history.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "value"])
-            for e, v in enumerate(report.history):
-                writer.writerow([e, repr(v)])
-    for name, value in sorted(report.metrics.items()):
-        print(f"{name}: {value}")
+        _write_csv(out_dir / "history.csv", ["epoch", "value"], ((e, repr(v)) for e, v in enumerate(report.history)))
     return 0
 
 
@@ -167,20 +170,14 @@ def cmd_boundary(args) -> int:
     ys = np.linspace(args.ymin, args.ymax, args.resolution)
     gx, gy = np.meshgrid(xs, ys)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if args.critic:
-            if not isinstance(model, MlpModel):
-                raise ValueError("--critic expects an mlp critic model")
-            vals = contrastive_mod.extract_clusters(model, grid)
-            writer.writerow(["x0", "x1", "argmax_value"])
-            for point, v in zip(grid, vals):
-                writer.writerow([repr(point[0]), repr(point[1]), int(v)])
-        else:
-            P = model.forward(grid)
-            writer.writerow(["x0", "x1", "p_cluster2"])
-            for point, p in zip(grid, P[:, 1]):
-                writer.writerow([repr(point[0]), repr(point[1]), repr(float(p))])
+    # compute the whole column before opening --out, so a failure leaves no file
+    if args.critic:
+        if not isinstance(model, MlpModel):
+            raise ValueError("--critic expects an mlp critic model")
+        name, column = "argmax_value", [int(v) for v in contrastive_mod.extract_clusters(model, grid)]
+    else:
+        name, column = "p_cluster2", [repr(float(p)) for p in model.forward(grid)[:, 1]]
+    _write_csv(args.out, ["x0", "x1", name], ([repr(x0), repr(x1), v] for (x0, x1), v in zip(grid, column)))
     print(f"wrote {grid.shape[0]} grid rows to {args.out}")
     return 0
 
@@ -189,34 +186,21 @@ def cmd_sweep(args) -> int:
     X = data_mod.load_csv(args.data)
     k_lo, _, k_hi = args.k_range.partition(":")
     ks = list(range(int(k_lo), int(k_hi) + 1))
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = sorted(int(s) for s in args.seeds.split(","))
     if not ks or not seeds:
         raise ValueError("empty sweep grid")
     rows = []
     for k in ks:
         for seed in seeds:
-            report, labels, spec = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
+            report, _ = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
+            labels = np.asarray(report.labels)
             # k-means reports no history; its objective is the negated inertia
             objective_value = report.history[-1] if report.history else -report.final_model.get("inertia", float("nan"))
-            m = _compute_metrics(X, labels, spec)
+            scores = _scores(X, labels)
             shares = np.bincount(labels, minlength=k) / labels.size
             used = int((shares > 1.0 / (10 * k)).sum())
-            rows.append(
-                {
-                    "model": args.model,
-                    "k": k,
-                    "seed": seed,
-                    "ari": m.get("ari"),
-                    "silhouette": m.get("silhouette"),
-                    "objective": objective_value,
-                    "used_clusters": used,
-                }
-            )
-    rows.sort(key=lambda r: (r["model"], r["k"], r["seed"]))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["model", "k", "seed", "ari", "silhouette", "objective", "used_clusters"])
-        writer.writeheader()
-        writer.writerows(rows)
+            rows.append([args.model, k, seed, scores.get("ari"), scores["silhouette"], objective_value, used])
+    _write_csv(args.out, ["model", "k", "seed", "ari", "silhouette", "objective", "used_clusters"], rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -227,13 +211,7 @@ def cmd_contrastive(args) -> int:
     critic = contrastive_mod.init_critic(X.d, args.hidden, args.k, rng=args.seed)
     cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     report = contrastive_mod.train_contrastive(critic, X.values, aug, cfg)
-    labels = np.asarray(report.labels)
-    report.metrics = _compute_metrics(X, labels, None)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json())
-    for name, value in sorted(report.metrics.items()):
-        print(f"{name}: {value}")
+    _write_report(Path(args.out_dir), report, X, None)
     return 0
 
 
@@ -255,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     def add_fit_flags(p):
+        p.add_argument("--model", choices=MODEL_IDS, required=True)
+        p.add_argument("--objective", choices=["mi", "rim", "mmd-gemini"], default=None)
         p.add_argument("--data", required=True)
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
@@ -267,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-init", type=int, default=10)
 
     fitp = sub.add_parser("fit", help="fit a clustering model and write a report")
-    fitp.add_argument("--model", choices=MODEL_IDS, required=True)
-    fitp.add_argument("--objective", choices=["mi", "rim", "mmd-gemini"], default=None)
     add_fit_flags(fitp)
     fitp.add_argument("--out-dir", required=True)
     fitp.add_argument("--history-csv", action="store_true", help="also write history.csv (epoch,value)")
@@ -286,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(func=cmd_boundary)
 
     swp = sub.add_parser("sweep", help="run fits across a cluster-count grid and seeds")
-    swp.add_argument("--model", choices=MODEL_IDS, required=True)
-    swp.add_argument("--objective", choices=["mi", "rim", "mmd-gemini"], default=None)
     add_fit_flags(swp)
     swp.add_argument("--k-range", default="2:6", help="inclusive range LO:HI")
     swp.add_argument("--seeds", default="0")

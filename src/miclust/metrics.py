@@ -62,23 +62,23 @@ def silhouette(X, labels, precomputed: bool = False):
             raise ValueError("precomputed distance matrix must be n x n")
     else:
         D = np.sqrt(pairwise_sq_dist(np.asarray(X, dtype=np.float64), np.asarray(X, dtype=np.float64)))
-    uniq = np.unique(labels)
+    uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
     n = labels.size
-    masks = {k: labels == k for k in uniq}
-    sizes = {k: int(m.sum()) for k, m in masks.items()}
-    scores = np.zeros(n)
-    # mean distance from each sample to each cluster
-    mean_to = np.column_stack([D[:, masks[k]].sum(axis=1) / sizes[k] for k in uniq])
-    col = {k: j for j, k in enumerate(uniq)}
-    for i in range(n):
-        k = labels[i]
-        if sizes[k] == 1:
-            continue
-        intra = D[i, masks[k]].sum() / (sizes[k] - 1)
-        outer = min(mean_to[i, col[kk]] for kk in uniq if kk != k)
-        denom = max(intra, outer)
-        if denom > 0:
-            scores[i] = (outer - intra) / denom
+    sizes = np.bincount(inv)
+    # mean distance from each sample to each cluster, and to the rest of its own
+    mean_to = np.empty((n, uniq.size))
+    intra = np.zeros(n)
+    for j, k in enumerate(uniq):
+        mask = labels == k
+        mean_to[:, j] = D[:, mask].sum(axis=1) / sizes[j]
+        if sizes[j] > 1:
+            idx = np.flatnonzero(mask)
+            # summed along contiguous rows, exactly as each D[i, mask].sum() would be
+            intra[idx] = np.ascontiguousarray(D[np.ix_(idx, idx)]).sum(axis=1) / (sizes[j] - 1)
+    mean_to[np.arange(n), inv] = np.inf
+    outer = mean_to.min(axis=1)
+    denom = np.maximum(intra, outer)
+    scores = np.divide(outer - intra, denom, out=np.zeros(n), where=(sizes[inv] > 1) & (denom > 0))
     return float(scores.mean()), scores

@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import miclust as mc
+import miclust.cli
+import miclust.optim
 from miclust.cli import main
 from miclust.data import load_csv
 
@@ -147,6 +150,43 @@ def test_sweep_csv_sorted(tmp_path, circles_csv):
     assert all(1 <= int(r["used_clusters"]) <= int(r["k"]) for r in rows)
 
 
+SWEEP_MMD = ["--model", "mlp", "--objective", "mmd-gemini", "--epochs", "5"]
+
+
+def test_sweep_builds_one_gram_per_fit(tmp_path, circles_csv, monkeypatch):
+    calls = []
+    for module in (miclust.cli, miclust.optim):
+        def counted(*args, _gram=module.gram, **kwargs):
+            calls.append(1)
+            return _gram(*args, **kwargs)
+
+        monkeypatch.setattr(module, "gram", counted)
+    code = main(["sweep", *SWEEP_MMD, "--data", str(circles_csv), "--k-range", "2:4", "--seeds", "0,1",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert len(calls) == 6  # one training Gram per fit; the sweep scores no kernel K-means
+
+
+def test_sweep_rows_score_each_fits_labels(tmp_path, circles_csv):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *SWEEP_MMD, "--data", str(circles_csv), "--k-range", "2:3", "--seeds", "1,0",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    X = load_csv(circles_csv)
+    for row in rows:
+        run = tmp_path / f"fit-{row['k']}-{row['seed']}"
+        assert main(["fit", *SWEEP_MMD, "--data", str(circles_csv), "--k", row["k"], "--seed", row["seed"],
+                     "--out-dir", str(run)]) == 0
+        labels = json.loads((run / "report.json").read_text())["labels"]
+        assert float(row["ari"]) == mc.ari(X.labels, labels)
+        try:
+            assert float(row["silhouette"]) == mc.silhouette(X.values, labels)[0]
+        except ValueError:  # one cluster used: the silhouette is undefined and the cell empty
+            assert row["silhouette"] == ""
+
+
 def test_config_file_provides_defaults(tmp_path, circles_csv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs = 7\nmodel = linear\n")
@@ -209,6 +249,23 @@ def test_boundary_zero_resolution_exits_2_without_traceback(tmp_path):
     out = tmp_path / "grid.csv"
     proc = run_cli("boundary", "--model", str(model_path), "--resolution", "0", "--out", str(out))
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,W,message",
+    [(["--critic"], [[0.0, 0.0], [0.0, 0.0]], "--critic expects an mlp"),
+     ([], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "does not match model d=3")],
+    ids=["critic-on-linear", "d3-model"],
+)
+def test_boundary_failure_leaves_no_grid_file(tmp_path, flags, W, message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"kind": "linear", "params": {"W": W, "b": [0.0, 0.0]}}))
+    out = tmp_path / "grid.csv"
+    proc = run_cli("boundary", "--model", str(model_path), *flags, "--resolution", "3", "--out", str(out))
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

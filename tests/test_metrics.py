@@ -98,3 +98,56 @@ def test_silhouette_validation():
         silhouette(np.zeros((3, 2)), [0, 0, 0])
     with pytest.raises(ValueError):
         silhouette(np.zeros((3, 2)), [0, 1], precomputed=True)
+
+
+def _silhouette_per_sample(D, labels):
+    """The per-sample loop `silhouette` is vectorised from, kept as its oracle."""
+    labels = np.asarray(labels, dtype=np.int64)
+    uniq = np.unique(labels)
+    n = labels.size
+    masks = {k: labels == k for k in uniq}
+    sizes = {k: int(m.sum()) for k, m in masks.items()}
+    scores = np.zeros(n)
+    mean_to = np.column_stack([D[:, masks[k]].sum(axis=1) / sizes[k] for k in uniq])
+    col = {k: j for j, k in enumerate(uniq)}
+    for i in range(n):
+        k = labels[i]
+        if sizes[k] == 1:
+            continue
+        intra = D[i, masks[k]].sum() / (sizes[k] - 1)
+        outer = min(mean_to[i, col[kk]] for kk in uniq if kk != k)
+        denom = max(intra, outer)
+        if denom > 0:
+            scores[i] = (outer - intra) / denom
+    return float(scores.mean()), scores
+
+
+def _silhouette_cases():
+    gen = make_rng(5)
+    for n_clusters in (3, 4, 5):
+        X = gen.normal(size=(600, 3))  # clusters past numpy's 128-element pairwise-sum block
+        labels = gen.integers(0, n_clusters, size=600)
+        labels[:n_clusters] = np.arange(n_clusters)
+        yield pytest.param(X, labels, id=f"k{n_clusters}")
+    X = gen.normal(size=(40, 2))
+    labels = gen.integers(0, 3, size=40)
+    labels[:3] = [0, 1, 2]
+    yield pytest.param(X, np.array([7, 42, 1000])[labels], id="ids-7-42-1000")
+    X = gen.normal(size=(30, 2))
+    labels = gen.integers(0, 2, size=30)
+    labels[:4] = [0, 1, 2, 3]  # clusters 2 and 3 are singletons
+    yield pytest.param(X, labels, id="singletons")
+    X = np.repeat(gen.normal(size=(6, 2)), 5, axis=0)  # every point appears five times
+    yield pytest.param(X, np.repeat([0, 1, 2], 10), id="coincident")
+    yield pytest.param(np.zeros((12, 2)), np.repeat([3, 9, 5, 1], 3), id="all-coincident")
+
+
+@pytest.mark.parametrize("X,labels", list(_silhouette_cases()))
+def test_silhouette_matches_per_sample_oracle_bit_for_bit(X, labels):
+    mean, scores = silhouette(X, labels)
+    D = np.sqrt(pairwise_sq_dist(X, X))
+    oracle_mean, oracle_scores = _silhouette_per_sample(D, labels)
+    assert np.array_equal(scores, oracle_scores)
+    assert repr(mean) == repr(oracle_mean)
+    via_matrix = silhouette(D, labels, precomputed=True)
+    assert np.array_equal(via_matrix[1], oracle_scores)
