@@ -93,6 +93,10 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     S = Zhat @ Zhat_aug^T are softmaxed down each column, and the loss is
     the negated sum of the diagonal. The gradient flows through Z only;
     Z_aug is treated as a constant (stop-gradient on the augmented branch).
+
+    Each call works in one n x n buffer, overwritten from similarities to
+    softmax to similarity gradient. The operation order is fixed, so the
+    loss and gradient stay bit-identical to the five-temporary expression.
     """
     Z = np.asarray(Z, dtype=np.float64)
     Z_aug = np.asarray(Z_aug, dtype=np.float64)
@@ -104,16 +108,17 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
         raise ValueError("zero-norm representation row; cosine similarity undefined")
     Zh = Z / norms
     Zah = Z_aug / norms_aug
-    S = Zh @ Zah.T
-    # softmax down each column
-    e = np.exp(S - S.max(axis=0, keepdims=True))
-    T = e / e.sum(axis=0, keepdims=True)
-    diag = np.diag(T)
+    T = Zh @ Zah.T
+    # softmax down each column; the diagonal is copied out before T is overwritten
+    T -= T.max(axis=0, keepdims=True)
+    np.exp(T, out=T)
+    T /= T.sum(axis=0, keepdims=True)
+    diag = T.diagonal().copy()
     loss = -float(diag.sum())
-    # d loss / d S_ij = T_ij * T_jj - delta_ij * T_jj
-    dS = T * diag[None, :]
-    dS[np.arange(Z.shape[0]), np.arange(Z.shape[0])] -= diag
-    g = dS @ Zah
+    # d loss / d S_ij = T_ij * T_jj - delta_ij * T_jj, overwriting T
+    T *= diag[None, :]
+    T[np.arange(Z.shape[0]), np.arange(Z.shape[0])] -= diag
+    g = T @ Zah
     # back through the row normalization of Z
     dZ = (g - (g * Zh).sum(axis=1, keepdims=True) * Zh) / norms
     return loss, dZ

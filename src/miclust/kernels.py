@@ -50,8 +50,9 @@ def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
-    return np.maximum(sq, 0.0)
+    sq = np.add.outer((X * X).sum(axis=1), (Y * Y).sum(axis=1))
+    sq -= 2.0 * X @ Y.T
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
@@ -62,10 +63,10 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     spec = spec.resolve(X)
     if spec.kind == "linear":
-        values = X @ Y.T
-    else:
-        values = np.exp(-spec.gamma * pairwise_sq_dist(X, Y))
-    return KernelMatrix(values, spec)
+        return KernelMatrix(X @ Y.T, spec)
+    values = pairwise_sq_dist(X, Y)
+    values *= -spec.gamma
+    return KernelMatrix(np.exp(values, out=values), spec)
 
 
 def default_gamma(X: np.ndarray) -> float:

@@ -56,12 +56,12 @@ def silhouette(X, labels, precomputed: bool = False):
     samples where both Intra and Outer vanish.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if precomputed:
-        D = np.asarray(X, dtype=np.float64)
-        if D.shape != (labels.size, labels.size):
-            raise ValueError("precomputed distance matrix must be n x n")
-    else:
-        D = np.sqrt(pairwise_sq_dist(np.asarray(X, dtype=np.float64), np.asarray(X, dtype=np.float64)))
+    D = np.asarray(X, dtype=np.float64)
+    if not precomputed:
+        D = pairwise_sq_dist(D, D)
+        np.sqrt(D, out=D)
+    elif D.shape != (labels.size, labels.size):
+        raise ValueError("precomputed distance matrix must be n x n")
     uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")

@@ -11,7 +11,7 @@ import numpy as np
 from miclust.data import DataMatrix
 from miclust.errors import NumericError
 from miclust.kernels import KernelSpec, gram
-from miclust.models import ClusterModel
+from miclust.models import ClusterModel, KernelModel
 from miclust.objectives import mi, mmd_gemini_ova, rim
 
 OBJECTIVES = ("mi", "rim", "mmd-gemini")
@@ -180,7 +180,9 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     """
     values = _as_values(X)
     G = training_gram(values, cfg.objective, cfg.kernel)
-    F = model.features(values)
+    # a kernel head on this very array under the training kernel has the training Gram as its features
+    shared = G is not None and isinstance(model, KernelModel) and model.X_ref is values and model.spec == G.spec
+    F = G.values if shared else model.features(values)
     config = dict(cfg.to_dict(), model=model.kind)
     if G is not None:
         config["kernel"] = G.spec.to_dict()

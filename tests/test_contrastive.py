@@ -1,5 +1,7 @@
 """Tests for augmentations, the InfoNCE loss and the contrastive trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,60 @@ def test_info_nce_gradient_matches_finite_differences():
     Z_aug = gen.normal(size=(5, 3))
     _, dZ = info_nce_loss(Z, Z_aug)
     assert np.allclose(dZ, fd_grad(Z, Z_aug), atol=1e-7)
+
+
+def _info_nce_five_temporaries(Z, Z_aug):
+    """The five-temporary expression `info_nce_loss` computes in place, kept as its oracle."""
+    norms = np.linalg.norm(Z, axis=1, keepdims=True)
+    norms_aug = np.linalg.norm(Z_aug, axis=1, keepdims=True)
+    Zh = Z / norms
+    Zah = Z_aug / norms_aug
+    S = Zh @ Zah.T
+    e = np.exp(S - S.max(axis=0, keepdims=True))
+    T = e / e.sum(axis=0, keepdims=True)
+    diag = np.diag(T)
+    loss = -float(diag.sum())
+    dS = T * diag[None, :]
+    dS[np.arange(Z.shape[0]), np.arange(Z.shape[0])] -= diag
+    g = dS @ Zah
+    dZ = (g - (g * Zh).sum(axis=1, keepdims=True) * Zh) / norms
+    return loss, dZ
+
+
+def _info_nce_cases():
+    gen = make_rng(11)
+    # from 182 rows on, an n x n temporary passes numpy's 256 KB elision threshold
+    for n in (1, 2, 37, 200, 300):
+        yield pytest.param(gen.normal(size=(n, 3)), gen.normal(size=(n, 3)), id=f"n{n}")
+    Z = gen.normal(size=(60, 4)) * 10.0 ** gen.uniform(-3, 3, size=(60, 1))
+    Z_aug = gen.normal(size=(60, 4)) * 10.0 ** gen.uniform(-3, 3, size=(60, 1))
+    yield pytest.param(Z, Z_aug, id="rescaled-rows")
+    Z = gen.normal(size=(250, 2))
+    yield pytest.param(Z, Z, id="same-array")
+
+
+@pytest.mark.parametrize("Z,Z_aug", list(_info_nce_cases()))
+def test_info_nce_matches_reference_formula_bit_for_bit(Z, Z_aug):
+    before, before_aug = Z.tobytes(), Z_aug.tobytes()
+    loss, dZ = info_nce_loss(Z, Z_aug)
+    oracle_loss, oracle_dZ = _info_nce_five_temporaries(Z, Z_aug)
+    assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes()
+    assert dZ.tobytes() == oracle_dZ.tobytes()
+    assert Z.tobytes() == before and Z_aug.tobytes() == before_aug
+
+
+def test_info_nce_allocates_one_n_by_n_buffer():
+    n = 400
+    gen = make_rng(12)
+    Z, Z_aug = gen.normal(size=(n, 2)), gen.normal(size=(n, 2))
+    info_nce_loss(Z, Z_aug)
+    tracemalloc.start()
+    try:
+        info_nce_loss(Z, Z_aug)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 buffers"
 
 
 def test_info_nce_validation():

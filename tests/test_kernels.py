@@ -1,5 +1,7 @@
 """Tests for kernel specs, Gram matrices and the default rbf bandwidth."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,49 @@ def test_spec_dict_round_trip():
     assert KernelSpec.from_dict(spec.to_dict()) == spec
     lin = KernelSpec("linear")
     assert KernelSpec.from_dict(lin.to_dict()) == lin
+
+
+def _sq_dist_three_temporaries(X, Y):
+    """The expression `pairwise_sq_dist` computes in place, kept as its oracle."""
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * X @ Y.T
+    return np.maximum(sq, 0.0)
+
+
+def _gram_out_of_place(X, Y, spec):
+    """The expression `gram` computes in place, kept as its oracle."""
+    spec = spec.resolve(X)
+    if spec.kind == "linear":
+        return X @ Y.T
+    return np.exp(-spec.gamma * _sq_dist_three_temporaries(X, Y))
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+
+
+def _pair_cases():
+    gen = make_rng(7)
+    yield pytest.param(gen.normal(size=(37, 3)), gen.normal(size=(53, 3)), id="n37-m53")
+    yield pytest.param(gen.normal(size=(300, 5)), gen.normal(size=(20, 5)), id="n300-m20")
+    X = gen.normal(size=(200, 2))
+    yield pytest.param(X, X, id="same-array")
+    X = standardize(make_circles(4000, 0.05, 0.1, 0)).values
+    yield pytest.param(X, X, id="n4000-d2")
+
+
+@pytest.mark.parametrize("X,Y", list(_pair_cases()))
+def test_pairwise_sq_dist_matches_out_of_place_formula_bit_for_bit(X, Y):
+    before = (_digest(X), _digest(Y))
+    # digests, not both matrices at once, keep the n=4000 case to one n x n result in memory
+    assert _digest(pairwise_sq_dist(X, Y)) == _digest(_sq_dist_three_temporaries(X, Y))
+    assert (_digest(X), _digest(Y)) == before
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("rbf"), KernelSpec("rbf", 0.3), KernelSpec("linear")], ids=["rbf", "rbf-0.3", "linear"]
+)
+@pytest.mark.parametrize("X,Y", list(_pair_cases()))
+def test_gram_matches_out_of_place_formula_bit_for_bit(X, Y, spec):
+    before = (_digest(X), _digest(Y))
+    assert _digest(gram(X, Y, spec).values) == _digest(_gram_out_of_place(X, Y, spec))
+    assert (_digest(X), _digest(Y)) == before

@@ -21,7 +21,7 @@ import miclust.models
 import miclust.optim
 from miclust import FitReport, TrainConfig
 from miclust.data import make_rng
-from miclust.optim import Adam, evaluate_objective, training_gram
+from miclust.optim import Adam, _objective_epoch, _train, evaluate_objective, training_gram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,6 +104,31 @@ def test_kernel_rim_builds_its_gram_once_per_fit(monkeypatch):
     optim_calls = counting(monkeypatch, miclust.optim, "gram")
     mc.fit(model, c.values, TrainConfig(epochs=1000, seed=0, objective="rim"))
     assert calls[0] + optim_calls[0] <= 2
+
+
+def two_gram_fit(model, X, cfg: TrainConfig) -> str:
+    """`fit` as it was before a kernel head could share the training Gram: both built."""
+    G = training_gram(X, cfg.objective, cfg.kernel)
+    F = model.features(X)
+    config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict())
+    epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
+    return _train(model, cfg, epoch, lambda: model.step(F)[0], config).to_json()
+
+
+@pytest.mark.parametrize("spec", [mc.KernelSpec("rbf"), mc.KernelSpec("linear")], ids=["rbf", "linear"])
+def test_kernel_mmd_gemini_fit_shares_its_features_as_the_training_gram(monkeypatch, spec):
+    # at n=100, d=2, X @ X.T (BLAS syrk) and X @ copy(X).T (gemm) differ in the last bit,
+    # so a head whose X_ref is only an equal copy of X keeps its own Gram
+    X = mc.standardize(mc.make_circles(100, 0.05, 0.1, 0)).values
+    cfg = TrainConfig(epochs=200, learning_rate=1e-2, seed=4, objective="mmd-gemini", kernel=spec)
+    for X_ref, grams in ((X, 1), (X.copy(), 2)):
+        expected = two_gram_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
+        calls = counting(monkeypatch, miclust.models, "gram")
+        optim_calls = counting(monkeypatch, miclust.optim, "gram")
+        report = mc.fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
+        monkeypatch.undo()
+        assert calls[0] + optim_calls[0] == grams
+        assert report.to_json() == expected
 
 
 def test_nonparametric_fit_checks_its_binding_once(monkeypatch, circles):
