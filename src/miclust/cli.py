@@ -19,7 +19,7 @@ from miclust import baselines, contrastive as contrastive_mod, data as data_mod,
 from miclust.errors import NumericError
 from miclust.kernels import KernelSpec, gram
 from miclust.models import MlpModel, init_model, load_model
-from miclust.optim import FitReport, TrainConfig, fit
+from miclust.optim import OBJECTIVES, FitReport, TrainConfig, fit
 
 MODEL_IDS = ("kmeans", "spectral", "linear", "linear-rim", "kernel", "kernel-rim", "mlp", "nonparametric")
 
@@ -80,12 +80,14 @@ def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
     return out
 
 
-def _write_report(out_dir: Path, report: FitReport, X: data_mod.DataMatrix, spec: KernelSpec | None) -> None:
+def _write_report(out_dir: Path, report: FitReport, X: data_mod.DataMatrix) -> None:
     """Score the report's labels, write report.json into out_dir and print the metrics."""
     labels = np.asarray(report.labels)
     report.metrics = _scores(X, labels)
+    # kernel K-means scores with the kernel the fit trained against, else the kernel head's own, else linear
+    kernel = report.config.get("kernel") or report.final_model.get("kernel")
     try:
-        score_gram = gram(X.values, X.values, spec if spec is not None else KernelSpec("linear"))
+        score_gram = gram(X.values, X.values, KernelSpec.from_dict(kernel) if kernel else KernelSpec("linear"))
         report.metrics["kernel_kmeans_score"] = baselines.kernel_kmeans_score(labels, score_gram)
     except ValueError:
         report.metrics["kernel_kmeans_score"] = None
@@ -109,18 +111,18 @@ def cmd_generate(args) -> int:
 
 
 def _run_model(args, X: data_mod.DataMatrix):
-    """Run the `--model` id on X: the report and the kernel its kernel K-means score uses."""
+    """Run the `--model` id on X and return its report."""
     spec = _kernel_spec(args)
     start = time.perf_counter()
     if args.model == "kmeans":
         labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
         final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
         config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
-        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start), None
+        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start)
     if args.model == "spectral":
         labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
         config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
-        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start), spec
+        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start)
     objective = args.objective
     if objective is None:
         objective = "rim" if args.model in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
@@ -132,23 +134,16 @@ def _run_model(args, X: data_mod.DataMatrix):
         reg = 0.1 if (objective == "rim" and kind == "linear") else 0.0
     dims = {"d": X.d, "k": args.k, "hidden": args.hidden}
     model = init_model(kind, dims, rng=args.seed, X_ref=X.values, spec=spec, X=X.values)
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        objective=objective,
-        lam=reg,
-        kernel=spec if objective == "mmd-gemini" else None,
-    )
-    report = fit(model, X.values, cfg)
-    return report, spec if kind == "kernel" or objective == "mmd-gemini" else None
+    cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed, objective=objective, lam=reg,
+                      kernel=spec)
+    return fit(model, X.values, cfg)
 
 
 def cmd_fit(args) -> int:
     X = data_mod.load_csv(args.data)
-    report, spec = _run_model(args, X)
+    report = _run_model(args, X)
     out_dir = Path(args.out_dir)
-    _write_report(out_dir, report, X, spec)
+    _write_report(out_dir, report, X)
     _write_csv(out_dir / "labels.csv", ["index", "label"], enumerate(report.labels))
     if args.history_csv:
         _write_csv(out_dir / "history.csv", ["epoch", "value"], ((e, repr(v)) for e, v in enumerate(report.history)))
@@ -159,8 +154,6 @@ def cmd_boundary(args) -> int:
     doc = json.loads(Path(args.model).read_text())
     if isinstance(doc, dict) and "kind" not in doc and "model" in doc:
         doc = doc["model"]  # accept a full report.json too
-    if isinstance(doc, dict) and doc.get("kind") in ("nonparametric", "spectral"):
-        raise ValueError("model does not generalise; cannot draw a decision boundary")
     if args.resolution < 1:
         raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     model = load_model(doc)
@@ -192,7 +185,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in ks:
         for seed in seeds:
-            report, _ = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
+            report = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
             labels = np.asarray(report.labels)
             # k-means reports no history; its objective is the negated inertia
             objective_value = report.history[-1] if report.history else -report.final_model.get("inertia", float("nan"))
@@ -211,7 +204,7 @@ def cmd_contrastive(args) -> int:
     critic = contrastive_mod.init_critic(X.d, args.hidden, args.k, rng=args.seed)
     cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     report = contrastive_mod.train_contrastive(critic, X.values, aug, cfg)
-    _write_report(Path(args.out_dir), report, X, None)
+    _write_report(Path(args.out_dir), report, X)
     return 0
 
 
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fit_flags(p):
         p.add_argument("--model", choices=MODEL_IDS, required=True)
-        p.add_argument("--objective", choices=["mi", "rim", "mmd-gemini"], default=None)
+        p.add_argument("--objective", choices=list(OBJECTIVES), default=None)
         p.add_argument("--data", required=True)
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")

@@ -303,6 +303,8 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
       kernel: X_ref and spec for the kernel model.
       X: bound training set for the nonparametric model.
     """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODEL_KINDS)}")
     gen = make_rng(rng)
     K = dims["k"]
     if K < 1:
@@ -331,10 +333,8 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         if H < 1:
             raise ValueError(f"hidden width must be >= 1, got {H}")
         return MlpModel(draw((d, H), d), np.zeros(H), draw((H, K), H), np.zeros(K))
-    if kind == "nonparametric":
-        X = np.asarray(kwargs["X"], dtype=np.float64)
-        return NonparametricModel(draw((X.shape[0], K), 1), dataset_fingerprint(X))
-    raise ValueError(f"unknown model kind {kind!r}")
+    X = np.asarray(kwargs["X"], dtype=np.float64)  # nonparametric, the one kind left
+    return NonparametricModel(draw((X.shape[0], K), 1), dataset_fingerprint(X))
 
 
 def load_model(doc) -> ClusterModel:

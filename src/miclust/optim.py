@@ -14,7 +14,12 @@ from miclust.kernels import KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel
 from miclust.objectives import mi, mmd_gemini_ova, rim
 
-OBJECTIVES = ("mi", "rim", "mmd-gemini")
+# name -> (whether it trains against the training-set Gram, evaluator (model, P, lam, G) -> ObjectiveValue)
+OBJECTIVES = {
+    "mi": (False, lambda model, P, lam, G: mi(P)),
+    "rim": (False, lambda model, P, lam, G: rim(P, {k: getattr(model, k) for k in model.weight_keys}, lam)),
+    "mmd-gemini": (True, lambda model, P, lam, G: mmd_gemini_ova(P, G)),
+}
 
 
 @dataclass
@@ -41,7 +46,7 @@ class TrainConfig:
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be positive")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}; expected one of {OBJECTIVES}")
+            raise ValueError(f"unknown objective {self.objective!r}; expected one of {tuple(OBJECTIVES)}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
@@ -106,20 +111,17 @@ def _as_values(X) -> np.ndarray:
 
 def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: float = 0.0, gram_values=None):
     """Evaluate the named objective on the responsibilities of `model`."""
-    if objective == "mi":
-        return mi(P)
-    if objective == "rim":
-        return rim(P, {k: getattr(model, k) for k in model.weight_keys}, lam)
-    if objective == "mmd-gemini":
-        if gram_values is None:
-            raise ValueError("mmd-gemini requires a kernel Gram matrix of the training set")
-        return mmd_gemini_ova(P, gram_values)
-    raise ValueError(f"unknown objective {objective!r}")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    needs_gram, evaluate = OBJECTIVES[objective]
+    if needs_gram and gram_values is None:
+        raise ValueError(f"{objective} requires a kernel Gram matrix of the training set")
+    return evaluate(model, P, lam, gram_values)
 
 
 def training_gram(X, objective: str, kernel: KernelSpec | None = None):
-    """Training-set Gram for mmd-gemini; None for the other objectives."""
-    if objective != "mmd-gemini":
+    """Training-set Gram (rbf by default) for an objective that needs one; None for the others."""
+    if objective not in OBJECTIVES or not OBJECTIVES[objective][0]:
         return None
     values = _as_values(X)
     spec = (kernel or KernelSpec("rbf")).resolve(values)
@@ -183,9 +185,8 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     # a kernel head on this very array under the training kernel has the training Gram as its features
     shared = G is not None and isinstance(model, KernelModel) and model.X_ref is values and model.spec == G.spec
     F = G.values if shared else model.features(values)
-    config = dict(cfg.to_dict(), model=model.kind)
-    if G is not None:
-        config["kernel"] = G.spec.to_dict()
+    # echo the kernel the fit trained against, not one it was handed and never used
+    config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict() if G is not None else None)
     epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
     return _train(model, cfg, epoch, lambda: model.step(F)[0], config)
 

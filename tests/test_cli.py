@@ -124,6 +124,33 @@ def test_boundary_rejects_nonparametric(tmp_path, circles_csv):
     assert code == 2
 
 
+# the kernel each run's kernel K-means score must use, written out by hand: the kernel it trained
+# against, else its kernel head's own, else linear; an unset rbf gamma resolves on the data as in the fit
+SCORE_KERNEL_CASES = {
+    "kernel-rim": (["fit", "--model", "kernel-rim"], mc.KernelSpec("rbf")),
+    "kernel-linear": (["fit", "--model", "kernel", "--kernel", "linear"], mc.KernelSpec("linear")),
+    "kernel-gamma": (["fit", "--model", "kernel", "--gamma", "0.7"], mc.KernelSpec("rbf", 0.7)),
+    "kernel-mmd": (["fit", "--model", "kernel", "--objective", "mmd-gemini"], mc.KernelSpec("rbf")),
+    "mlp-mmd-gamma": (["fit", "--model", "mlp", "--objective", "mmd-gemini", "--gamma", "2.0"],
+                      mc.KernelSpec("rbf", 2.0)),
+    "mlp-mi": (["fit", "--model", "mlp"], mc.KernelSpec("linear")),
+    "spectral-gamma": (["fit", "--model", "spectral", "--gamma", "3.0"], mc.KernelSpec("rbf", 3.0)),
+    "kmeans": (["fit", "--model", "kmeans"], mc.KernelSpec("linear")),
+    "contrastive": (["contrastive", "--aug", "noise:0.5"], mc.KernelSpec("linear")),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORE_KERNEL_CASES))
+def test_kernel_kmeans_score_uses_the_fits_kernel(tmp_path, circles_csv, case):
+    argv, expected = SCORE_KERNEL_CASES[case]
+    out = tmp_path / "run"
+    assert main([*argv, "--data", str(circles_csv), "--epochs", "5", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    X = load_csv(circles_csv).values
+    score = mc.kernel_kmeans_score(report["labels"], mc.gram(X, X, expected))
+    assert report["metrics"]["kernel_kmeans_score"] == score
+
+
 def test_boundary_critic_grid(tmp_path, circles_csv):
     out = tmp_path / "con"
     code = main(["contrastive", "--data", str(circles_csv), "--aug", "noise:0.5",
@@ -270,7 +297,14 @@ def test_boundary_failure_leaves_no_grid_file(tmp_path, flags, W, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [{"kind": "linear"}, [1, 2]], ids=["no-params", "list"])
+@pytest.mark.parametrize(
+    "doc",
+    [{"kind": "linear"}, [1, 2],
+     {"config": {"model": "spectral"}, "labels": [0, 1], "model": {"kind": "spectral"}},
+     {"config": {"model": "kmeans"}, "labels": [0, 1],
+      "model": {"kind": "kmeans", "centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.5}}],
+    ids=["no-params", "list", "spectral-report", "kmeans-report"],
+)
 def test_boundary_malformed_model_exits_2_without_traceback(tmp_path, doc):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))

@@ -10,6 +10,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import miclust.optim
 from miclust.cli import main
 
 
@@ -35,7 +36,7 @@ SEEDS = values(["0", "0,1", "3,3"], ["-1", "1,,2", "a", ""])
 MODEL_IDS = values(
     ["kmeans", "spectral", "linear", "linear-rim", "kernel", "kernel-rim", "mlp", "nonparametric"], ["tree"]
 )
-OBJECTIVES = values(["mi", "rim", "mmd-gemini"], ["entropy"])
+OBJECTIVES = values(list(miclust.optim.OBJECTIVES), ["entropy"])
 KERNELS = values(["linear", "rbf"], ["poly"])
 
 

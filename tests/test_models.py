@@ -188,6 +188,11 @@ def test_load_model_rejects_malformed_documents(case):
         load_model(json.dumps(doc))
 
 
+def test_init_model_rejects_an_unknown_kind_before_reading_dims():
+    with pytest.raises(ValueError, match=r"unknown model kind 'bogus'; expected one of \['kernel', 'linear'"):
+        init_model("bogus", {})
+
+
 def test_model_classes_bind_the_methods_the_benchmark_tracer_wraps():
     # perfbench/tracing.py patches these names on the classes that define them
     for cls in (LinearModel, KernelModel, MlpModel, NonparametricModel):

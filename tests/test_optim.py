@@ -6,7 +6,7 @@ import pytest
 from miclust import KernelSpec, TrainConfig, check_gradients, fit, init_model, predict
 from miclust.data import make_circles, make_rng, standardize
 from miclust.errors import NumericError
-from miclust.optim import Adam
+from miclust.optim import OBJECTIVES, Adam
 
 
 def small_data(seed=0, n=12):
@@ -80,6 +80,13 @@ def test_fit_echoes_config_and_model_kind():
     assert report.config["kernel"] == {"kind": "rbf", "gamma": 0.5}
 
 
+def test_fit_echoes_no_kernel_when_the_objective_uses_none():
+    X = small_data()
+    model = init_model("mlp", {"d": 2, "k": 2, "hidden": 4}, rng=0)
+    report = fit(model, X.values, TrainConfig(epochs=5, objective="mi", kernel=KernelSpec("rbf", 0.5)))
+    assert report.config["kernel"] is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_raises_numeric_error_on_nonfinite_objective():
     X = small_data()
@@ -97,7 +104,7 @@ def test_predict_breaks_ties_toward_lowest_index():
 
 
 @pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
-@pytest.mark.parametrize("objective", ["mi", "rim", "mmd-gemini"])
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
 def test_gradient_check_every_model_objective_pair(kind, objective):
     X = small_data(seed=1)
     kwargs = {}

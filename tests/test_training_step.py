@@ -71,7 +71,7 @@ def make_model(kind, X, seed):
 
 
 @pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
-@pytest.mark.parametrize("objective", ["mi", "rim", "mmd-gemini"])
+@pytest.mark.parametrize("objective", list(miclust.optim.OBJECTIVES))
 def test_fit_matches_per_epoch_reference(circles, kind, objective):
     cfg = TrainConfig(epochs=40, learning_rate=1e-2, seed=3, objective=objective, lam=0.05)
     fast = mc.fit(make_model(kind, circles.values, 3), circles.values, cfg).to_json()
