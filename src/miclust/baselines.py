@@ -105,13 +105,17 @@ def spectral(X, K: int, affinity: KernelSpec | None = None, rng=0) -> np.ndarray
     # the default affinity bandwidth is fixed rather than variance-scaled:
     # the graph must be sparse enough that the ring structure separates
     spec = (affinity or KernelSpec("rbf", gamma=1.0)).resolve(X)
-    A = gram(X, X, spec).values.copy()
+    A = gram(X, X, spec).values
     np.fill_diagonal(A, 0.0)
     deg = A.sum(axis=1)
     if np.any(deg <= 0):
         raise ValueError("affinity graph has an isolated vertex (zero degree)")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    L = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    # L = I - D^-1/2 A D^-1/2, built in the affinity buffer; 0.0 - x keeps underflowed zeros +0.0
+    A *= inv_sqrt[:, None]
+    A *= inv_sqrt[None, :]
+    L = np.subtract(0.0, A, out=A)
+    np.fill_diagonal(L, 1.0 + L.diagonal())  # 1 - a_ii, exactly
     try:
         eigvals, eigvecs = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:

@@ -83,14 +83,19 @@ def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
 def _write_report(out_dir: Path, report: FitReport, X: data_mod.DataMatrix) -> None:
     """Score the report's labels, write report.json into out_dir and print the metrics."""
     labels = np.asarray(report.labels)
-    report.metrics = _scores(X, labels)
-    # kernel K-means scores with the kernel the fit trained against, else the kernel head's own, else linear
-    kernel = report.config.get("kernel") or report.final_model.get("kernel")
+    # the fit's own matrix on X saves a rebuild when it has the scoring kernel; it is let go before the silhouette
+    score_gram, report.gram = report.gram, None
     try:
-        score_gram = gram(X.values, X.values, KernelSpec.from_dict(kernel) if kernel else KernelSpec("linear"))
-        report.metrics["kernel_kmeans_score"] = baselines.kernel_kmeans_score(labels, score_gram)
+        # kernel K-means scores with the kernel the fit trained against, else the kernel head's own, else linear
+        kernel = report.config.get("kernel") or report.final_model.get("kernel")
+        spec = KernelSpec.from_dict(kernel) if kernel else KernelSpec("linear")
+        if score_gram is None or score_gram.spec != spec:
+            score_gram = gram(X.values, X.values, spec)
+        score = baselines.kernel_kmeans_score(labels, score_gram)
     except ValueError:
-        report.metrics["kernel_kmeans_score"] = None
+        score = None
+    del score_gram
+    report.metrics = dict(_scores(X, labels), kernel_kmeans_score=score)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json())
     for name, value in sorted(report.metrics.items()):

@@ -44,15 +44,33 @@ class KernelMatrix:
     spec: KernelSpec
 
 
-def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances via the norm expansion, clamped at 0."""
+_BLOCK_BYTES = 1 << 18  # per row block of the distance epilogue: about 256 KB, so each block's passes run in cache
+
+
+def _row_blocks(n: int, m: int):
+    """Slices over the rows of an n x m float64 matrix, about _BLOCK_BYTES each."""
+    step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
+    """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    sq = np.add.outer((X * X).sum(axis=1), (Y * Y).sum(axis=1))
-    sq -= 2.0 * X @ Y.T
-    return np.maximum(sq, 0.0, out=sq)
+    out = np.matmul(2.0 * X, Y.T)
+    xx, yy = (X * X).sum(axis=1), (Y * Y).sum(axis=1)
+    for rows in _row_blocks(*out.shape):
+        block = out[rows]
+        np.subtract(np.add.outer(xx[rows], yy), block, out=block)
+        finish(rows, np.maximum(block, 0.0, out=block))
+    return out
+
+
+def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances via the norm expansion, clamped at 0."""
+    return _sq_dist_blocks(X, Y)
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
@@ -64,9 +82,8 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
     spec = spec.resolve(X)
     if spec.kind == "linear":
         return KernelMatrix(X @ Y.T, spec)
-    values = pairwise_sq_dist(X, Y)
-    values *= -spec.gamma
-    return KernelMatrix(np.exp(values, out=values), spec)
+    values = _sq_dist_blocks(X, Y, lambda rows, block: np.exp(np.multiply(block, -spec.gamma, out=block), out=block))
+    return KernelMatrix(values, spec)
 
 
 def default_gamma(X: np.ndarray) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import pairwise_sq_dist
+from miclust.kernels import _row_blocks, _sq_dist_blocks
 
 
 def contingency(a, b) -> np.ndarray:
@@ -57,26 +57,32 @@ def silhouette(X, labels, precomputed: bool = False):
     """
     labels = np.asarray(labels, dtype=np.int64)
     D = np.asarray(X, dtype=np.float64)
-    if not precomputed:
-        D = pairwise_sq_dist(D, D)
-        np.sqrt(D, out=D)
-    elif D.shape != (labels.size, labels.size):
+    n = labels.size
+    if precomputed and D.shape != (n, n):
         raise ValueError("precomputed distance matrix must be n x n")
     uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    n = labels.size
     sizes = np.bincount(inv)
-    # mean distance from each sample to each cluster, and to the rest of its own
+    members_of = [np.flatnonzero(inv == j) for j in range(uniq.size)]
+    # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
-    for j, k in enumerate(uniq):
-        mask = labels == k
-        mean_to[:, j] = D[:, mask].sum(axis=1) / sizes[j]
-        if sizes[j] > 1:
-            idx = np.flatnonzero(mask)
-            # summed along contiguous rows, exactly as each D[i, mask].sum() would be
-            intra[idx] = np.ascontiguousarray(D[np.ix_(idx, idx)]).sum(axis=1) / (sizes[j] - 1)
+
+    def block_means(rows, block):
+        for j, idx in enumerate(members_of):
+            members = block[:, idx]
+            # a running sum in member order, the order in which the column-major D[:, idx].sum(axis=1) adds
+            mean_to[rows, j] = np.cumsum(members, axis=1)[:, -1] / sizes[j]
+            own = np.flatnonzero(inv[rows] == j)
+            # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
+            intra[rows.start + own] = np.ascontiguousarray(members[own]).sum(axis=1) / max(sizes[j] - 1, 1)
+
+    if precomputed:
+        for rows in _row_blocks(n, n):
+            block_means(rows, D[rows])
+    else:
+        _sq_dist_blocks(D, D, lambda rows, block: block_means(rows, np.sqrt(block, out=block)))
     mean_to[np.arange(n), inv] = np.inf
     outer = mean_to.min(axis=1)
     denom = np.maximum(intra, outer)

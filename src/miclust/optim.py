@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from miclust.data import DataMatrix
 from miclust.errors import NumericError
-from miclust.kernels import KernelSpec, gram
+from miclust.kernels import KernelMatrix, KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel
 from miclust.objectives import mi, mmd_gemini_ova, rim
 
@@ -64,10 +64,11 @@ class FitReport:
     config: dict
     elapsed: float
     metrics: dict = field(default_factory=dict)
+    gram: KernelMatrix | None = None
 
     def to_json(self) -> str:
-        # elapsed is intentionally excluded: identical seeded runs must
-        # serialize byte-identically
+        # elapsed is intentionally excluded: identical seeded runs must serialize byte-identically;
+        # so is gram, the fit's kernel matrix on its training samples, which is kept only for scoring
         return json.dumps(
             {
                 "config": self.config,
@@ -183,12 +184,14 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     values = _as_values(X)
     G = training_gram(values, cfg.objective, cfg.kernel)
     # a kernel head on this very array under the training kernel has the training Gram as its features
-    shared = G is not None and isinstance(model, KernelModel) and model.X_ref is values and model.spec == G.spec
-    F = G.values if shared else model.features(values)
+    head_on_values = isinstance(model, KernelModel) and model.X_ref is values
+    F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
     # echo the kernel the fit trained against, not one it was handed and never used
     config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict() if G is not None else None)
     epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
-    return _train(model, cfg, epoch, lambda: model.step(F)[0], config)
+    # the report hands on the training Gram, else the head's features, so scoring on values need not rebuild it
+    held = G if G is not None or not head_on_values else KernelMatrix(F, model.spec)
+    return replace(_train(model, cfg, epoch, lambda: model.step(F)[0], config), gram=held)
 
 
 def predict(model: ClusterModel, X) -> np.ndarray:

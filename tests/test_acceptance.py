@@ -210,9 +210,9 @@ def _run_property_checks(circles):
             kwargs["X_ref"] = small.values
         if kind == "nonparametric":
             kwargs["X"] = small.values
-        for objective in ("mi", "rim", "mmd-gemini"):
+        for objective, (needs_gram, _) in mc.optim.OBJECTIVES.items():
             model = mc.init_model(kind, {"d": 2, "k": 2, "hidden": 4}, scale=0.3, rng=2, **kwargs)
-            tol = 1e-4 if objective == "mmd-gemini" else 1e-5
+            tol = 1e-4 if needs_gram else 1e-5
             rep = mc.check_gradients(model, objective, small.values, tol=tol, lam=0.1)
             assert rep.passed, f"{kind}/{objective}: {rep.max_rel_err}"
 

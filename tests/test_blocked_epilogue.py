@@ -1,0 +1,174 @@
+"""The O(n^2) distance layer against the out-of-place formulas it replaced, across block edges.
+
+`pairwise_sq_dist`, the rbf `gram` and `silhouette` finish one gemm's result
+buffer in row blocks of `kernels._BLOCK_BYTES`. The block size is shrunk here
+so that small inputs reach every edge: a single block, a short last block,
+one row per block and clusters whose members straddle block edges.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from miclust import KernelSpec, gram, make_circles, silhouette, standardize
+from miclust import kernels
+from miclust.data import make_rng
+from miclust.kernels import pairwise_sq_dist
+
+
+def _sq_dist_out_of_place(X, Y):
+    sq = np.add.outer((X * X).sum(axis=1), (Y * Y).sum(axis=1))
+    sq -= 2.0 * X @ Y.T
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _gram_out_of_place(X, Y, spec):
+    spec = spec.resolve(X)
+    if spec.kind == "linear":
+        return X @ Y.T
+    values = _sq_dist_out_of_place(X, Y)
+    values *= -spec.gamma
+    return np.exp(values, out=values)
+
+
+def _silhouette_out_of_place(D, labels):
+    """Silhouette from a full distance matrix through whole-matrix gathers per cluster."""
+    labels = np.asarray(labels, dtype=np.int64)
+    uniq, inv = np.unique(labels, return_inverse=True)
+    n = labels.size
+    sizes = np.bincount(inv)
+    mean_to = np.empty((n, uniq.size))
+    intra = np.zeros(n)
+    for j, k in enumerate(uniq):
+        mask = labels == k
+        mean_to[:, j] = D[:, mask].sum(axis=1) / sizes[j]
+        if sizes[j] > 1:
+            idx = np.flatnonzero(mask)
+            intra[idx] = np.ascontiguousarray(D[np.ix_(idx, idx)]).sum(axis=1) / (sizes[j] - 1)
+    mean_to[np.arange(n), inv] = np.inf
+    outer = mean_to.min(axis=1)
+    denom = np.maximum(intra, outer)
+    scores = np.divide(outer - intra, denom, out=np.zeros(n), where=(sizes[inv] > 1) & (denom > 0))
+    return float(scores.mean()), scores
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# block sizes in bytes: the default, 40 rows of m=3 (so n=37 fits one block and n=101 ends on a
+# short block), and 16 bytes, less than one row of every case (one row per block)
+BLOCKS = {"default": kernels._BLOCK_BYTES, "rows-of-40": 8 * 3 * 40, "one-row": 16}
+
+
+def _pairs():
+    gen = make_rng(11)
+    X = gen.normal(size=(101, 3))
+    yield pytest.param(X[:37], gen.normal(size=(3, 3)), id="n37-m3")
+    yield pytest.param(X, gen.normal(size=(3, 3)), id="n101-m3")
+    yield pytest.param(X, gen.normal(size=(64, 3)), id="n101-m64")
+    yield pytest.param(X, X, id="same-array")
+    Y = gen.normal(size=(50, 7))
+    yield pytest.param(Y, Y[::2], id="strided-m25-d7")
+
+
+@pytest.mark.parametrize("block", list(BLOCKS.values()), ids=list(BLOCKS))
+@pytest.mark.parametrize("X,Y", list(_pairs()))
+def test_pairwise_sq_dist_is_the_out_of_place_formula_at_every_block_size(X, Y, block, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+    assert _same_bytes(pairwise_sq_dist(X, Y), _sq_dist_out_of_place(X, Y))
+
+
+SPECS = {"rbf": KernelSpec("rbf"), "rbf-0.3": KernelSpec("rbf", 0.3), "linear": KernelSpec("linear")}
+
+
+@pytest.mark.parametrize("spec", list(SPECS.values()), ids=list(SPECS))
+@pytest.mark.parametrize("block", list(BLOCKS.values()), ids=list(BLOCKS))
+@pytest.mark.parametrize("X,Y", list(_pairs()))
+def test_gram_is_the_out_of_place_formula_at_every_block_size(X, Y, block, spec, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+    K = gram(X, Y, spec)
+    assert _same_bytes(K.values, _gram_out_of_place(X, Y, spec))
+    assert K.spec == spec.resolve(X)
+
+
+@pytest.mark.parametrize("shapes", [((0, 3), (5, 3)), ((5, 3), (0, 3)), ((0, 3), (0, 3))], ids=str)
+def test_empty_inputs_keep_their_shapes(shapes):
+    X, Y = np.zeros(shapes[0]), np.ones(shapes[1])
+    expected = (shapes[0][0], shapes[1][0])
+    assert pairwise_sq_dist(X, Y).shape == expected
+    assert _same_bytes(pairwise_sq_dist(X, Y), _sq_dist_out_of_place(X, Y))
+    for spec in (KernelSpec("rbf", 0.3), KernelSpec("linear")):
+        assert _same_bytes(gram(X, Y, spec).values, _gram_out_of_place(X, Y, spec))
+
+
+def _labelings():
+    gen = make_rng(12)
+    X = gen.normal(size=(101, 3))
+    labels = gen.integers(0, 3, size=101)
+    labels[:3] = [0, 1, 2]
+    yield pytest.param(X, labels, id="k3-random")  # every block holds members of every cluster
+    yield pytest.param(X, np.repeat([4, 9], [50, 51]), id="k2-contiguous")  # one cluster edge inside a block
+    labels = gen.integers(0, 2, size=101)
+    labels[:4] = [0, 1, 2, 3]
+    yield pytest.param(X, labels, id="singletons")
+    X = gen.normal(size=(300, 2))  # rows past numpy's 128-element pairwise-sum block
+    labels = gen.integers(0, 4, size=300)
+    labels[:4] = [0, 1, 2, 3]
+    yield pytest.param(X, labels, id="k4-n300")
+
+
+# 40 rows of n=101 (a short last block of 21), 3 rows (a last block of 2) and one row per block
+SILHOUETTE_BLOCKS = {"default": kernels._BLOCK_BYTES, "rows-of-40": 8 * 101 * 40, "rows-of-3": 8 * 101 * 3,
+                     "one-row": 16}
+
+
+@pytest.mark.parametrize("block", list(SILHOUETTE_BLOCKS.values()), ids=list(SILHOUETTE_BLOCKS))
+@pytest.mark.parametrize("X,labels", list(_labelings()))
+def test_silhouette_is_the_out_of_place_formula_at_every_block_size(X, labels, block, monkeypatch):
+    D = np.sqrt(_sq_dist_out_of_place(X, X))
+    expected_mean, expected = _silhouette_out_of_place(D, labels)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+    mean, scores = silhouette(X, labels)
+    assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
+    # precomputed, in every layout: C order, Fortran order, and strided views of a larger buffer
+    gen = make_rng(13)
+    D = D + gen.uniform(0.0, 1e-3, size=D.shape)  # not symmetric, so a transposed read would show
+    expected_mean, expected = _silhouette_out_of_place(D, labels)
+    n = labels.size
+    big = np.zeros((2 * n, 3 * n))
+    big[::2, ::3] = D
+    for layout in (D, np.asfortranarray(D), big[::2, ::3], np.asfortranarray(big)[::2, ::3]):
+        mean, scores = silhouette(layout, labels, precomputed=True)
+        assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
+
+
+N_PEAK = 2000
+
+
+def _peak_in_n2_doubles(call):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * N_PEAK**2)
+
+
+@pytest.fixture(scope="module")
+def circles_2000():
+    return standardize(make_circles(N_PEAK, 0.05, 0.1, 0))
+
+
+@pytest.mark.parametrize("name", ["pairwise_sq_dist", "gram", "silhouette"])
+def test_one_n_by_n_buffer_per_build(name, circles_2000):
+    X, labels = circles_2000.values, circles_2000.labels
+    call = {
+        "pairwise_sq_dist": lambda: pairwise_sq_dist(X, X),
+        "gram": lambda: gram(X, X, KernelSpec("rbf")),
+        "silhouette": lambda: silhouette(X, labels),
+    }[name]
+    call()  # first-call allocations stay out of the measured peak
+    assert _peak_in_n2_doubles(call) < 1.2

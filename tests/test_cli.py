@@ -12,6 +12,7 @@ import pytest
 
 import miclust as mc
 import miclust.cli
+import miclust.models
 import miclust.optim
 from miclust.cli import main
 from miclust.data import load_csv
@@ -151,6 +152,44 @@ def test_kernel_kmeans_score_uses_the_fits_kernel(tmp_path, circles_csv, case):
     assert report["metrics"]["kernel_kmeans_score"] == score
 
 
+def _count_gram_calls(monkeypatch):
+    calls = []
+    for module in (miclust.cli, miclust.optim, miclust.models):
+        def counted(*args, _gram=module.gram, **kwargs):
+            calls.append(1)
+            return _gram(*args, **kwargs)
+
+        monkeypatch.setattr(module, "gram", counted)
+    return calls
+
+
+# fits whose kernel K-means score uses the kernel matrix the fit already built on the same samples
+HELD_GRAM_CASES = {
+    "kernel-rim": ["--model", "kernel-rim"],
+    "kernel-mmd": ["--model", "kernel", "--objective", "mmd-gemini"],
+    "mlp-mmd": ["--model", "mlp", "--objective", "mmd-gemini"],
+}
+
+
+@pytest.mark.parametrize("case", list(HELD_GRAM_CASES))
+def test_fit_scores_with_the_gram_it_trained_with(tmp_path, circles_csv, case, monkeypatch):
+    argv = ["fit", *HELD_GRAM_CASES[case], "--data", str(circles_csv), "--epochs", "5", "--out-dir"]
+    with monkeypatch.context() as patch:
+        # the reference run hands no matrix on, so the score rebuilds its Gram
+        def fit_handing_on_nothing(*args, _fit=miclust.cli.fit, **kwargs):
+            report = _fit(*args, **kwargs)
+            report.gram = None
+            return report
+
+        patch.setattr(miclust.cli, "fit", fit_handing_on_nothing)
+        rebuilt = _count_gram_calls(patch)
+        assert main([*argv, str(tmp_path / "rebuilt")]) == 0
+    held = _count_gram_calls(monkeypatch)
+    assert main([*argv, str(tmp_path / "held")]) == 0
+    assert (len(held), len(rebuilt)) == (1, 2)
+    assert (tmp_path / "held" / "report.json").read_bytes() == (tmp_path / "rebuilt" / "report.json").read_bytes()
+
+
 def test_boundary_critic_grid(tmp_path, circles_csv):
     out = tmp_path / "con"
     code = main(["contrastive", "--data", str(circles_csv), "--aug", "noise:0.5",
@@ -181,13 +220,7 @@ SWEEP_MMD = ["--model", "mlp", "--objective", "mmd-gemini", "--epochs", "5"]
 
 
 def test_sweep_builds_one_gram_per_fit(tmp_path, circles_csv, monkeypatch):
-    calls = []
-    for module in (miclust.cli, miclust.optim):
-        def counted(*args, _gram=module.gram, **kwargs):
-            calls.append(1)
-            return _gram(*args, **kwargs)
-
-        monkeypatch.setattr(module, "gram", counted)
+    calls = _count_gram_calls(monkeypatch)
     code = main(["sweep", *SWEEP_MMD, "--data", str(circles_csv), "--k-range", "2:4", "--seeds", "0,1",
                  "--out", str(tmp_path / "sweep.csv")])
     assert code == 0

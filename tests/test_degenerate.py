@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import miclust as mc
+from miclust.optim import OBJECTIVES, evaluate_objective
 
-OBJECTIVES = ("mi", "rim", "mmd-gemini")
 KINDS = ("linear", "kernel", "mlp")
 X_CIRCLES = mc.make_circles(12, 0.05, 0.3, 0).values
 
@@ -40,19 +40,19 @@ def _fit(kind, objective, X, k=2, gamma=None, prepare=None):
         learning_rate=1e-2,
         objective=objective,
         lam=0.1 if objective == "rim" else 0.0,
-        kernel=spec if objective == "mmd-gemini" else None,
+        kernel=spec,
     )
     return mc.fit(model, X, cfg), k
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_degenerate_input_gives_finite_report_or_value_error(case, kind, objective):
     inputs = CASES[case]
     # identical points have zero variance, so there is no default rbf bandwidth
-    # for the kernel head's features or for the MMD-GEMINI Gram
-    if case == "identical-points" and (kind == "kernel" or objective == "mmd-gemini"):
+    # for the kernel head's features or for an objective's training Gram
+    if case == "identical-points" and (kind == "kernel" or OBJECTIVES[objective][0]):
         with pytest.raises(ValueError, match="zero variance"):
             _fit(kind, objective, **inputs)
         return
@@ -67,15 +67,13 @@ def test_degenerate_input_gives_finite_report_or_value_error(case, kind, objecti
         assert set(report.labels) == {0}
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
 def test_collapsed_responsibilities_score_zero_with_finite_gradient(objective):
     P = np.zeros((10, 3))
     P[:, 1] = 1.0
     G = mc.gram(X_CIRCLES[:10], X_CIRCLES[:10], mc.KernelSpec("rbf", 1.0))
-    value = {
-        "mi": lambda: mc.mi(P),
-        "rim": lambda: mc.rim(P, {}, 0.1),
-        "mmd-gemini": lambda: mc.mmd_gemini_ova(P, G),
-    }[objective]()
+    # a nonparametric model has no weights, so RIM's penalty adds nothing
+    model = mc.init_model("nonparametric", {"k": 3}, X=X_CIRCLES[:10])
+    value = evaluate_objective(model, P, objective, 0.1, G)
     assert value.value == 0.0
     assert np.all(np.isfinite(value.grad_resp))
