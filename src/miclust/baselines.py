@@ -7,7 +7,7 @@ import numpy as np
 
 from miclust.data import make_rng
 from miclust.errors import NumericError
-from miclust.kernels import KernelMatrix, KernelSpec, gram, pairwise_sq_dist
+from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
@@ -121,7 +121,7 @@ def spectral(X, K: int, affinity: KernelSpec | None = None, rng=0) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Laplacian eigendecomposition failed: {exc}") from exc
     emb = eigvecs[:, :K]
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    norms = np.sqrt(_row_reduce(np.add, emb * emb))  # np.linalg.norm(emb, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     emb = emb / norms
     labels, _, _ = kmeans(emb, K, n_init=10, rng=rng)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from miclust.data import make_rng
+from miclust.kernels import _row_reduce
 from miclust.models import MlpModel
 from miclust.optim import FitReport, TrainConfig, _as_values, _train
 
@@ -102,8 +103,9 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     Z_aug = np.asarray(Z_aug, dtype=np.float64)
     if Z.shape != Z_aug.shape:
         raise ValueError(f"shape mismatch: {Z.shape} vs {Z_aug.shape}")
-    norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    norms_aug = np.linalg.norm(Z_aug, axis=1, keepdims=True)
+    # l2 row norms, the sqrt of summed squares that np.linalg.norm(axis=1) computes
+    norms = np.sqrt(_row_reduce(np.add, Z * Z))
+    norms_aug = np.sqrt(_row_reduce(np.add, Z_aug * Z_aug))
     if np.any(norms == 0) or np.any(norms_aug == 0):
         raise ValueError("zero-norm representation row; cosine similarity undefined")
     Zh = Z / norms
@@ -120,8 +122,7 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     T[np.arange(Z.shape[0]), np.arange(Z.shape[0])] -= diag
     g = T @ Zah
     # back through the row normalization of Z
-    dZ = (g - (g * Zh).sum(axis=1, keepdims=True) * Zh) / norms
-    return loss, dZ
+    return loss, (g - _row_reduce(np.add, g * Zh) * Zh) / norms
 
 
 def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:

@@ -44,6 +44,21 @@ class KernelMatrix:
     spec: KernelSpec
 
 
+def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(A, axis=1, keepdims=True) bit for bit, by one in-place pass per column of a narrow A.
+
+    From 1 to 7 columns numpy reduces each row left to right, a sum from +0.0 (a row of
+    -0.0 sums to +0.0); from 8 on its order is pairwise, so its own reduce runs there.
+    """
+    if not 0 < A.shape[1] < 8:
+        return ufunc.reduce(A, axis=1, keepdims=True)
+    columns = iter(A.T)
+    out = next(columns) + 0.0 if ufunc is np.add else next(columns).copy()
+    for column in columns:
+        ufunc(out, column, out=out)
+    return out[:, None]
+
+
 _BLOCK_BYTES = 1 << 18  # per row block of the distance epilogue: about 256 KB, so each block's passes run in cache
 
 
@@ -60,7 +75,7 @@ def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: Non
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     out = np.matmul(2.0 * X, Y.T)
-    xx, yy = (X * X).sum(axis=1), (Y * Y).sum(axis=1)
+    xx, yy = _row_reduce(np.add, X * X).ravel(), _row_reduce(np.add, Y * Y).ravel()
     for rows in _row_blocks(*out.shape):
         block = out[rows]
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
@@ -81,7 +96,8 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     spec = spec.resolve(X)
     if spec.kind == "linear":
-        return KernelMatrix(X @ Y.T, spec)
+        # X @ X.T runs BLAS syrk and X @ Y.T gemm, which differ in the last bit: an equal Y takes X's path
+        return KernelMatrix(X @ (X if np.array_equal(X, Y) else Y).T, spec)
     values = _sq_dist_blocks(X, Y, lambda rows, block: np.exp(np.multiply(block, -spec.gamma, out=block), out=block))
     return KernelMatrix(values, spec)
 

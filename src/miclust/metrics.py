@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import _row_blocks, _sq_dist_blocks
+from miclust.kernels import _row_blocks, _row_reduce, _sq_dist_blocks
 
 
 def contingency(a, b) -> np.ndarray:
@@ -84,7 +84,7 @@ def silhouette(X, labels, precomputed: bool = False):
     else:
         _sq_dist_blocks(D, D, lambda rows, block: block_means(rows, np.sqrt(block, out=block)))
     mean_to[np.arange(n), inv] = np.inf
-    outer = mean_to.min(axis=1)
+    outer = _row_reduce(np.minimum, mean_to).ravel()
     denom = np.maximum(intra, outer)
     scores = np.divide(outer - intra, denom, out=np.zeros(n), where=(sizes[inv] > 1) & (denom > 0))
     return float(scores.mean()), scores

@@ -18,26 +18,24 @@ import math
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.kernels import KernelSpec, gram
+from miclust.kernels import KernelSpec, _row_reduce, gram
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction."""
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(Z - _row_reduce(np.maximum, Z))
+    return e / _row_reduce(np.add, e)
 
 
 def log_softmax(Z: np.ndarray) -> np.ndarray:
     """Row-wise log-probabilities computed as logits - logsumexp."""
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = Z - _row_reduce(np.maximum, Z)
+    return shifted - np.log(_row_reduce(np.add, np.exp(shifted)))
 
 
 def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     """Map a gradient w.r.t. softmax outputs to a gradient w.r.t. logits."""
-    inner = (dP * P).sum(axis=1, keepdims=True)
-    return P * (dP - inner)
+    return P * (dP - _row_reduce(np.add, dP * P))
 
 
 def _checked_input(X, d: int) -> np.ndarray:
@@ -89,7 +87,7 @@ class ClusterModel:
         F, saved, P = tape
         if dP.shape != P.shape:
             raise ValueError(f"gradient shape {dP.shape} does not match responsibilities {P.shape}")
-        if not np.all(np.isfinite(dP)):
+        if not np.isfinite(dP).all():
             raise ValueError("gradient w.r.t. responsibilities contains non-finite entries")
         return self.head_backward(F, saved, softmax_backward(P, dP))
 

@@ -44,7 +44,8 @@ def _check_resp(P: np.ndarray) -> np.ndarray:
 
 def proportions(P: np.ndarray) -> np.ndarray:
     """Monte-Carlo cluster proportions: column means of the responsibilities."""
-    return _check_resp(P).mean(axis=0)
+    P = _check_resp(P)
+    return P.sum(axis=0) / P.shape[0]
 
 
 def mi(P: np.ndarray) -> ObjectiveValue:
@@ -55,7 +56,7 @@ def mi(P: np.ndarray) -> ObjectiveValue:
     """
     P = _check_resp(P)
     n = P.shape[0]
-    pbar = P.mean(axis=0)
+    pbar = P.sum(axis=0) / n
     log_ratio = np.log(np.maximum(P, _LOG_FLOOR)) - np.log(np.maximum(pbar, _LOG_FLOOR))
     value = float((P * log_ratio).sum() / n)
     return ObjectiveValue(value, log_ratio / n)
@@ -68,7 +69,7 @@ def fairness_firmness(P: np.ndarray) -> tuple[float, float]:
     (low H(y|x)).
     """
     P = _check_resp(P)
-    pbar = P.mean(axis=0)
+    pbar = P.sum(axis=0) / P.shape[0]
     h_marginal = float(-(pbar * np.log(np.maximum(pbar, _LOG_FLOOR))).sum())
     h_conditional = float(-(P * np.log(np.maximum(P, _LOG_FLOOR))).sum() / P.shape[0])
     return h_marginal, h_conditional
@@ -83,7 +84,7 @@ def rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     base = mi(P)
-    penalty = sum(float(np.sum(W**2)) for W in weights.values())
+    penalty = sum(float(np.square(W).sum()) for W in weights.values())
     grad_params = {name: -2.0 * lam * np.asarray(W) for name, W in weights.items()}
     return ObjectiveValue(base.value - lam * penalty, base.grad_resp, grad_params)
 
@@ -100,7 +101,7 @@ def mmd_gemini_ova(P: np.ndarray, K: KernelMatrix) -> ObjectiveValue:
     n, nk = P.shape
     if G.shape != (n, n):
         raise ValueError(f"Gram matrix shape {G.shape} does not match n={n}")
-    pbar = P.mean(axis=0)
+    pbar = P.sum(axis=0) / n
     beta = np.full(n, 1.0 / n)
     value = 0.0
     grad = np.zeros_like(P)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -81,7 +82,7 @@ class FitReport:
 
 
 class Adam:
-    """Adam over a dict of named parameter arrays, stepping in ascent direction."""
+    """Adam over a dict of named parameter arrays, stepping in ascent direction, on flat moment vectors."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -90,18 +91,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        sizes = [p.size for p in params.values()]
+        self.m, self.v, self._g, self._update = (np.zeros(sum(sizes)) for _ in range(4))
+        parts = np.split(self._update, np.cumsum(sizes)[:-1])  # each parameter's view of the flat update
+        self._views = [(p, part.reshape(p.shape)) for p, part in zip(params.values(), parts)]
 
     def step(self, grads: dict) -> None:
-        self.t += 1
         for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g**2
-            m_hat = self.m[k] / (1 - self.beta1**self.t)
-            v_hat = self.v[k] / (1 - self.beta2**self.t)
-            p += self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if np.shape(grads[k]) != p.shape:
+                raise ValueError(f"gradient of {k!r} has shape {np.shape(grads[k])}, its parameter {p.shape}")
+        self.t += 1
+        g = np.concatenate([grads[k] for k in self.params], axis=None, out=self._g)
+        m, v, step = self.m, self.v, self._update
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=step)
+        v *= self.beta2
+        v += np.multiply(np.square(g, out=g), 1 - self.beta2, out=g)
+        # step = lr * m_hat / (sqrt(v_hat) + eps), with the bias-corrected moments
+        np.divide(m, 1 - self.beta1**self.t, out=step)
+        step *= self.lr
+        g = np.sqrt(np.divide(v, 1 - self.beta2**self.t, out=g), out=g)
+        g += self.eps
+        step /= g
+        for p, update in self._views:
+            p += update
 
 
 def _as_values(X) -> np.ndarray:
@@ -164,7 +178,7 @@ def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -
     start = time.perf_counter()
     for e in range(cfg.epochs):
         value, gradient = epoch()
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericError(f"objective became non-finite at epoch {e}: {value}")
         history.append(value)
         opt.step(gradient())
