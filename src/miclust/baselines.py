@@ -27,26 +27,25 @@ def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarr
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
-    K = centers.shape[0]
-    labels = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
     history = []
+    # one distance matrix per step: to the updated centers, it gives the step's inertia and the next assignment
+    d2 = pairwise_sq_dist(X, centers)
     for _ in range(max_iter):
-        d2 = pairwise_sq_dist(X, centers)
         labels = np.argmin(d2, axis=1)
-        for k in range(K):
+        for k in range(centers.shape[0]):
             mask = labels == k
             if not mask.any():
                 # re-seed an empty cluster at the farthest point
-                far = int(np.argmax(d2[np.arange(X.shape[0]), labels]))
+                far = int(np.argmax(d2[rows, labels]))
                 centers[k] = X[far]
                 labels[far] = k
                 mask = labels == k
             centers[k] = X[mask].mean(axis=0)
-        new_inertia = float(pairwise_sq_dist(X, centers)[np.arange(X.shape[0]), labels].sum())
-        if history and history[-1] - new_inertia <= tol:
-            history.append(new_inertia)
+        d2 = pairwise_sq_dist(X, centers)
+        history.append(float(d2[rows, labels].sum()))
+        if len(history) > 1 and history[-2] - history[-1] <= tol:
             break
-        history.append(new_inertia)
     return labels, centers, history[-1], history
 
 
@@ -59,8 +58,8 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
     X = np.asarray(X, dtype=np.float64)
     if K > X.shape[0]:
         raise ValueError(f"K={K} exceeds the number of samples n={X.shape[0]}")
-    if K < 1 or n_init < 1:
-        raise ValueError("K and n_init must be >= 1")
+    if K < 1 or n_init < 1 or max_iter < 1:
+        raise ValueError("K, n_init and max_iter must be >= 1")
     gen = make_rng(rng)
     best = None
     for _ in range(n_init):

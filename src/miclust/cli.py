@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -29,19 +28,6 @@ def _parse_means(text: str) -> np.ndarray:
     return np.asarray([[float(v) for v in part.split(",")] for part in text.split(";")])
 
 
-def _parse_aug(text: str):
-    parts = text.split(":")
-    if parts[0] == "noise" and len(parts) == 2:
-        return contrastive_mod.GaussianNoise(float(parts[1]))
-    if parts[0] == "rotation" and len(parts) == 3:
-        return contrastive_mod.Rotation2D(float(parts[1]), float(parts[2]))
-    raise ValueError(f"bad augmentation spec {text!r}; expected noise:SIGMA or rotation:LO:HI")
-
-
-def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(args.kernel, args.gamma)
-
-
 def _load_config_file(path: str) -> list[str]:
     """Turn `key = value` lines into leading CLI flags (explicit flags win).
 
@@ -59,13 +45,6 @@ def _load_config_file(path: str) -> list[str]:
         elif value != "false":
             extra += [flag, value]
     return extra
-
-
-def _write_csv(path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
@@ -117,7 +96,7 @@ def cmd_generate(args) -> int:
 
 def _run_model(args, X: data_mod.DataMatrix):
     """Run the `--model` id on X and return its report."""
-    spec = _kernel_spec(args)
+    spec = KernelSpec(args.kernel, args.gamma)
     start = time.perf_counter()
     if args.model == "kmeans":
         labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
@@ -128,10 +107,9 @@ def _run_model(args, X: data_mod.DataMatrix):
         labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
         config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
         return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start)
-    objective = args.objective
-    if objective is None:
-        objective = "rim" if args.model in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
-    kind = {"linear-rim": "linear", "kernel-rim": "kernel"}.get(args.model, args.model)
+    # an id names a model kind, with "-rim" spelling out the objective its kind defaults to
+    kind = args.model.removesuffix("-rim")
+    objective = args.objective or ("rim" if kind in ("linear", "kernel") else "mi")
     reg = args.reg
     if reg is None:
         # an unregularized linear model drifts to huge weights and an
@@ -149,9 +127,10 @@ def cmd_fit(args) -> int:
     report = _run_model(args, X)
     out_dir = Path(args.out_dir)
     _write_report(out_dir, report, X)
-    _write_csv(out_dir / "labels.csv", ["index", "label"], enumerate(report.labels))
+    data_mod.write_csv(out_dir / "labels.csv", ["index", "label"], enumerate(report.labels))
     if args.history_csv:
-        _write_csv(out_dir / "history.csv", ["epoch", "value"], ((e, repr(v)) for e, v in enumerate(report.history)))
+        history = ((e, repr(v)) for e, v in enumerate(report.history))
+        data_mod.write_csv(out_dir / "history.csv", ["epoch", "value"], history)
     return 0
 
 
@@ -161,6 +140,8 @@ def cmd_boundary(args) -> int:
         doc = doc["model"]  # accept a full report.json too
     if args.resolution < 1:
         raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
+    if not np.isfinite([args.xmin, args.xmax, args.ymin, args.ymax]).all():
+        raise ValueError("grid bounds --xmin, --xmax, --ymin and --ymax must be finite")
     model = load_model(doc)
     if not args.critic and model.n_clusters < 2:
         raise ValueError(f"boundary exports p(cluster 2), so it needs a model with k >= 2, got k={model.n_clusters}")
@@ -175,7 +156,7 @@ def cmd_boundary(args) -> int:
         name, column = "argmax_value", [int(v) for v in contrastive_mod.extract_clusters(model, grid)]
     else:
         name, column = "p_cluster2", [repr(float(p)) for p in model.forward(grid)[:, 1]]
-    _write_csv(args.out, ["x0", "x1", name], ([repr(x0), repr(x1), v] for (x0, x1), v in zip(grid, column)))
+    data_mod.write_csv(args.out, ["x0", "x1", name], ([repr(x0), repr(x1), v] for (x0, x1), v in zip(grid, column)))
     print(f"wrote {grid.shape[0]} grid rows to {args.out}")
     return 0
 
@@ -198,14 +179,14 @@ def cmd_sweep(args) -> int:
             shares = np.bincount(labels, minlength=k) / labels.size
             used = int((shares > 1.0 / (10 * k)).sum())
             rows.append([args.model, k, seed, scores.get("ari"), scores["silhouette"], objective_value, used])
-    _write_csv(args.out, ["model", "k", "seed", "ari", "silhouette", "objective", "used_clusters"], rows)
+    data_mod.write_csv(args.out, ["model", "k", "seed", "ari", "silhouette", "objective", "used_clusters"], rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 
 def cmd_contrastive(args) -> int:
     X = data_mod.load_csv(args.data)
-    aug = _parse_aug(args.aug)
+    aug = contrastive_mod.parse_augmentation(args.aug)
     critic = contrastive_mod.init_critic(X.d, args.hidden, args.k, rng=args.seed)
     cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     report = contrastive_mod.train_contrastive(critic, X.values, aug, cfg)

@@ -49,6 +49,16 @@ class Rotation2D:
         return f"rotation:{self.lo}:{self.hi}"
 
 
+def parse_augmentation(text: str):
+    """The augmentation a `describe()` string names: noise:SIGMA or rotation:LO:HI."""
+    parts = text.split(":")
+    if parts[0] == "noise" and len(parts) == 2:
+        return GaussianNoise(float(parts[1]))
+    if parts[0] == "rotation" and len(parts) == 3:
+        return Rotation2D(float(parts[1]), float(parts[2]))
+    raise ValueError(f"bad augmentation spec {text!r}; expected noise:SIGMA or rotation:LO:HI")
+
+
 def init_critic(d: int, hidden: int = 20, k: int = 2, rng=0) -> MlpModel:
     """Default critic initialization.
 

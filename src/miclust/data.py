@@ -109,19 +109,22 @@ def standardize(X: DataMatrix) -> DataMatrix:
     return DataMatrix((X.values - mean) / std, X.labels)
 
 
-def save_csv(X: DataMatrix, path) -> None:
-    """Write a DataMatrix as `f0,...,f{d-1}[,label]` with round-trippable floats."""
+def write_csv(path, header: list, rows) -> None:
+    """Write a header line, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = [f"f{j}" for j in range(X.d)]
-        if X.labels is not None:
-            header.append("label")
         writer.writerow(header)
-        for i in range(X.n):
-            row = [repr(float(v)) for v in X.values[i]]
-            if X.labels is not None:
-                row.append(str(int(X.labels[i])))
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def save_csv(X: DataMatrix, path) -> None:
+    """Write a DataMatrix as `f0,...,f{d-1}[,label]` with round-trippable floats."""
+    header = [f"f{j}" for j in range(X.d)]
+    rows = ([repr(float(v)) for v in row] for row in X.values)
+    if X.labels is not None:
+        header.append("label")
+        rows = (row + [str(int(label))] for row, label in zip(rows, X.labels))
+    write_csv(path, header, rows)
 
 
 def load_csv(path) -> DataMatrix:

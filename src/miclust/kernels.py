@@ -19,8 +19,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.kind == "rbf" and self.gamma is not None and self.gamma <= 0:
-            raise ValueError(f"rbf gamma must be positive, got {self.gamma}")
+        # gamma applies to rbf only, but either kind echoes it in reports, where only a finite one is valid JSON
+        if self.gamma is not None and not (0 < self.gamma < np.inf if self.kind == "rbf" else np.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite, and positive for rbf, got {self.gamma}")
 
     def resolve(self, X: np.ndarray) -> "KernelSpec":
         """Fill in the default gamma from the data when unset."""

@@ -106,10 +106,8 @@ class ClusterModel:
 
     @property
     def n_clusters(self) -> int:
-        raise NotImplementedError
-
-    def weight_norm_sq(self) -> float:
-        return float(sum(np.sum(self.params[k] ** 2) for k in self.weight_keys))
+        """K, the last axis of the last parameter (b, b2 or L)."""
+        return getattr(self, self.param_names[-1]).shape[-1]
 
     def _extra_dict(self) -> dict:
         return {}
@@ -140,10 +138,6 @@ class LinearModel(ClusterModel):
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
             raise ValueError(f"{self.weight_keys[0]} must be a 2-d matrix with K columns and b of length K")
         _check_finite(self.W, self.b)
-
-    @property
-    def n_clusters(self):
-        return self.W.shape[1]
 
     def features(self, X):
         return _checked_input(X, self.W.shape[0])
@@ -214,10 +208,6 @@ class MlpModel(ClusterModel):
             raise ValueError("bias shapes do not match weights")
         _check_finite(self.W1, self.b1, self.W2, self.b2)
 
-    @property
-    def n_clusters(self):
-        return self.W2.shape[1]
-
     def features(self, X):
         return _checked_input(X, self.W1.shape[0])
 
@@ -262,10 +252,6 @@ class NonparametricModel(ClusterModel):
             raise ValueError("L must be n x K")
         _check_finite(self.L)
         self.fingerprint = fingerprint
-
-    @property
-    def n_clusters(self):
-        return self.L.shape[1]
 
     def features(self, X):
         X = np.asarray(X, dtype=np.float64)

@@ -81,8 +81,8 @@ def rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
     `weights` maps parameter names to weight matrices; biases must not be
     included. The returned `grad_params` holds -2*lam*W per entry.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     base = mi(P)
     penalty = sum(float(np.square(W).sum()) for W in weights.values())
     grad_params = {name: -2.0 * lam * np.asarray(W) for name, W in weights.items()}

@@ -40,16 +40,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; expected one of {tuple(OBJECTIVES)}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,8 +197,10 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     """
     values = _as_values(X)
     G = training_gram(values, cfg.objective, cfg.kernel)
-    # a kernel head on this very array under the training kernel has the training Gram as its features
-    head_on_values = isinstance(model, KernelModel) and model.X_ref is values
+    # a kernel head on an equal array under the training kernel has the training Gram as its features: gram(X, Y)
+    # gives the same bits for every Y equal to X in the same memory layout (another layout can change the gemm's)
+    head_on_values = (isinstance(model, KernelModel) and model.X_ref.strides == values.strides
+                      and np.array_equal(model.X_ref, values))
     F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
     # echo the kernel the fit trained against, not one it was handed and never used
     config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict() if G is not None else None)

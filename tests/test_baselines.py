@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import miclust.baselines
 from miclust import KernelSpec, ari, gram, kernel_kmeans_score, kmeans, spectral
 from miclust.baselines import _kmeans_pp_init, _lloyd
 from miclust.data import make_circles, make_gaussian_blobs, make_rng, standardize
+from miclust.kernels import pairwise_sq_dist
 
 
 def test_kmeans_separated_blobs_exact():
@@ -89,3 +91,72 @@ def test_spectral_respects_custom_affinity():
 def test_spectral_validation():
     with pytest.raises(ValueError):
         spectral(np.zeros((3, 2)), 4)
+
+
+def test_kmeans_rejects_max_iter_below_one():
+    X = make_rng(0).normal(size=(10, 2))
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        kmeans(X, 2, max_iter=0)
+    labels, _, inertia = kmeans(X, 2, n_init=1, max_iter=1)
+    assert labels.shape == (10,) and inertia >= 0.0
+
+
+def _lloyd_two_distances(X, centers, max_iter, tol):
+    """`_lloyd` as it was, computing each step's distances to the same centers twice; kept as its oracle."""
+    K = centers.shape[0]
+    labels = np.zeros(X.shape[0], dtype=np.int64)
+    history = []
+    for _ in range(max_iter):
+        d2 = pairwise_sq_dist(X, centers)
+        labels = np.argmin(d2, axis=1)
+        for k in range(K):
+            mask = labels == k
+            if not mask.any():
+                far = int(np.argmax(d2[np.arange(X.shape[0]), labels]))
+                centers[k] = X[far]
+                labels[far] = k
+                mask = labels == k
+            centers[k] = X[mask].mean(axis=0)
+        new_inertia = float(pairwise_sq_dist(X, centers)[np.arange(X.shape[0]), labels].sum())
+        if history and history[-1] - new_inertia <= tol:
+            history.append(new_inertia)
+            break
+        history.append(new_inertia)
+    return labels, centers, history[-1], history
+
+
+def _lloyd_cases():
+    for seed in range(6):
+        gen = make_rng(seed)
+        X = gen.normal(size=(int(gen.integers(12, 90)), int(gen.integers(1, 5))))
+        for K in range(1, 6):
+            yield pytest.param(X, _kmeans_pp_init(X, K, make_rng(seed + 100)), id=f"seed{seed}-k{K}-pp")
+            # every center on X[0]: all points go to cluster 0, so clusters 1..K-1 are re-seeded
+            yield pytest.param(X, np.repeat(X[:1], K, axis=0), id=f"seed{seed}-k{K}-empty")
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 0.5])
+@pytest.mark.parametrize("X,centers", list(_lloyd_cases()))
+def test_lloyd_matches_the_two_distance_loop_bit_for_bit(X, centers, tol):
+    labels, got_centers, inertia, history = _lloyd(X, centers.copy(), 300, tol)
+    labels0, centers0, inertia0, history0 = _lloyd_two_distances(X, centers.copy(), 300, tol)
+    assert labels.tobytes() == labels0.tobytes()
+    assert got_centers.tobytes() == centers0.tobytes()
+    assert np.float64(inertia).tobytes() == np.float64(inertia0).tobytes()
+    assert np.array(history).tobytes() == np.array(history0).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_lloyd_computes_one_distance_matrix_per_step(monkeypatch, K):
+    calls = [0]
+
+    def counted(X, Y):
+        calls[0] += 1
+        return pairwise_sq_dist(X, Y)
+
+    X = make_rng(K).normal(size=(80, 2))
+    monkeypatch.setattr(miclust.baselines, "pairwise_sq_dist", counted)
+    for centers in (_kmeans_pp_init(X, K, make_rng(1)), np.repeat(X[:1], K, axis=0)):
+        calls[0] = 0
+        _, _, _, history = _lloyd(X, centers, 300, 0.0)
+        assert calls[0] == len(history) + 1  # the first assignment's matrix, then one per step

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, exit codes and file formats."""
 
+import argparse
 import csv
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import miclust as mc
 import miclust.cli
+import miclust.contrastive
 import miclust.models
 import miclust.optim
 from miclust.cli import main
@@ -378,3 +380,148 @@ def test_config_file_sets_store_true_flag_of_fit(tmp_path, circles_csv):
     assert main(["fit", "--config", str(cfg), "--data", str(circles_csv), "--out-dir", str(out)]) == 0
     with open(out / "history.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 5
+
+
+NON_FINITE_FIT_FLAGS = [["--reg", "nan"], ["--reg", "inf"], ["--lr", "nan"], ["--lr", "inf"], ["--gamma", "nan"],
+                        ["--gamma", "inf"], ["--kernel", "linear", "--gamma", "nan"]]
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_FIT_FLAGS, ids=lambda f: "".join(f))
+def test_fit_rejects_non_finite_settings_before_training(tmp_path, circles_csv, flags, monkeypatch, capsys):
+    monkeypatch.setattr(miclust.cli, "fit", lambda *a: pytest.fail("training started"))
+    out = tmp_path / "run"
+    code = main(["fit", "--model", "mlp", "--objective", "mmd-gemini", "--data", str(circles_csv),
+                 "--epochs", "3", "--out-dir", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_contrastive_rejects_a_non_finite_learning_rate(tmp_path, circles_csv, lr, monkeypatch):
+    monkeypatch.setattr(miclust.contrastive, "train_contrastive", lambda *a: pytest.fail("training started"))
+    out = tmp_path / "run"
+    assert main(["contrastive", "--data", str(circles_csv), "--aug", "noise:0.1", "--epochs", "3",
+                 "--lr", lr, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_boundary_rejects_non_finite_bounds(tmp_path, flag, value, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"kind": "linear", "params": {"W": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]}}))
+    out = tmp_path / "grid.csv"
+    bound = f"{flag}={value}"  # one token, since argparse takes a bare -inf for an option
+    assert main(["boundary", "--model", str(model_path), "--resolution", "3", bound, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _model_rule_as_it_was(model, objective, reg):
+    """The `--model` id rules as they were, in three expressions; kept as the oracle of `_run_model`."""
+    if objective is None:
+        objective = "rim" if model in ("linear", "linear-rim", "kernel", "kernel-rim") else "mi"
+    kind = {"linear-rim": "linear", "kernel-rim": "kernel"}.get(model, model)
+    if reg is None:
+        reg = 0.1 if (objective == "rim" and kind == "linear") else 0.0
+    return kind, objective, reg
+
+
+TRAINED_IDS = [m for m in miclust.cli.MODEL_IDS if m not in ("kmeans", "spectral")]
+ID_FLAGS = [[], *(["--objective", o] for o in miclust.optim.OBJECTIVES), ["--reg", "0.3"],
+            ["--objective", "rim", "--reg", "0.2"]]
+
+
+@pytest.mark.parametrize("flags", ID_FLAGS, ids=lambda f: "".join(f) or "defaults")
+@pytest.mark.parametrize("model_id", TRAINED_IDS)
+def test_model_id_rule_gives_the_old_report(tmp_path, circles_csv, model_id, flags):
+    out = tmp_path / "run"
+    assert main(["fit", "--model", model_id, "--data", str(circles_csv), "--epochs", "5", "--out-dir", str(out),
+                 *flags]) == 0
+    got = json.loads((out / "report.json").read_text())
+    given = dict(zip(flags[::2], flags[1::2]))
+    reg = float(given["--reg"]) if "--reg" in given else None
+    kind, objective, reg = _model_rule_as_it_was(model_id, given.get("--objective"), reg)
+    X = load_csv(circles_csv).values
+    spec = mc.KernelSpec("rbf")
+    model = mc.init_model(kind, {"d": 2, "k": 2, "hidden": 20}, rng=0, X_ref=X, spec=spec, X=X)
+    report = mc.fit(model, X, mc.TrainConfig(epochs=5, seed=0, objective=objective, lam=reg, kernel=spec))
+    expected = json.loads(report.to_json())
+    assert got["config"] == expected["config"]
+    assert (got["model"], got["labels"], got["history"]) == (expected["model"], expected["labels"], expected["history"])
+
+
+def _parser_as_it_was() -> argparse.ArgumentParser:
+    """The CLI's argument parser as it was before the `--model` id rule moved into one line; the help oracle."""
+    parser = argparse.ArgumentParser(prog="miclust", description=miclust.cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
+    gen.add_argument("dataset", choices=["circles", "blobs"])
+    gen.add_argument("--n", type=int, default=200)
+    gen.add_argument("--noise", type=float, default=0.05)
+    gen.add_argument("--factor", type=float, default=0.1)
+    gen.add_argument("--means", default="0,0")
+    gen.add_argument("--std", type=float, default=1.0)
+    gen.add_argument("--count", type=int, default=50)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--standardize", action="store_true")
+    gen.add_argument("--out", required=True)
+
+    def add_fit_flags(p):
+        p.add_argument("--model", choices=("kmeans", "spectral", "linear", "linear-rim", "kernel", "kernel-rim", "mlp",
+                                           "nonparametric"), required=True)
+        p.add_argument("--objective", choices=["mi", "rim", "mmd-gemini"], default=None)
+        p.add_argument("--data", required=True)
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
+        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--reg", type=float, default=None)
+        p.add_argument("--hidden", type=int, default=20)
+        p.add_argument("--epochs", type=int, default=1000)
+        p.add_argument("--lr", type=float, default=1e-3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n-init", type=int, default=10)
+
+    fitp = sub.add_parser("fit", help="fit a clustering model and write a report")
+    add_fit_flags(fitp)
+    fitp.add_argument("--out-dir", required=True)
+    fitp.add_argument("--history-csv", action="store_true", help="also write history.csv (epoch,value)")
+
+    bnd = sub.add_parser("boundary", help="export a decision-boundary grid CSV")
+    bnd.add_argument("--model", required=True, help="model JSON file (or report model section)")
+    bnd.add_argument("--critic", action="store_true", help="treat the model as a contrastive critic")
+    bnd.add_argument("--xmin", type=float, default=-3.0)
+    bnd.add_argument("--xmax", type=float, default=3.0)
+    bnd.add_argument("--ymin", type=float, default=-3.0)
+    bnd.add_argument("--ymax", type=float, default=3.0)
+    bnd.add_argument("--resolution", type=int, default=100)
+    bnd.add_argument("--out", required=True)
+
+    swp = sub.add_parser("sweep", help="run fits across a cluster-count grid and seeds")
+    add_fit_flags(swp)
+    swp.add_argument("--k-range", default="2:6", help="inclusive range LO:HI")
+    swp.add_argument("--seeds", default="0")
+    swp.add_argument("--out", required=True)
+
+    con = sub.add_parser("contrastive", help="train the contrastive InfoNCE critic")
+    con.add_argument("--data", required=True)
+    con.add_argument("--aug", required=True, help="rotation:LO:HI or noise:SIGMA")
+    con.add_argument("--k", type=int, default=2)
+    con.add_argument("--hidden", type=int, default=20)
+    con.add_argument("--epochs", type=int, default=5000)
+    con.add_argument("--lr", type=float, default=1e-4)
+    con.add_argument("--seed", type=int, default=0)
+    con.add_argument("--out-dir", required=True)
+    return parser
+
+
+@pytest.mark.parametrize("command", [[], ["generate"], ["fit"], ["boundary"], ["sweep"], ["contrastive"]],
+                         ids=lambda c: c[0] if c else "miclust")
+def test_help_text_is_unchanged(command, capsys):
+    with pytest.raises(SystemExit):
+        _parser_as_it_was().parse_args([*command, "--help"])
+    expected = capsys.readouterr().out
+    assert main([*command, "--help"]) == 0
+    assert capsys.readouterr().out == expected

@@ -15,6 +15,7 @@ from miclust import (
     init_critic,
     train_contrastive,
 )
+from miclust.contrastive import parse_augmentation
 from miclust.data import make_rng
 
 
@@ -205,3 +206,18 @@ def test_train_contrastive_is_deterministic():
 def test_augmentations_reject_non_finite_parameters(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "aug",
+    [GaussianNoise(0.5), GaussianNoise(0.0), GaussianNoise(1 / 3), Rotation2D(), Rotation2D(-0.1, 2.5e-7),
+     Rotation2D(1.0, 1.0)],
+)
+def test_parse_augmentation_inverts_describe(aug):
+    assert parse_augmentation(aug.describe()) == aug
+
+
+@pytest.mark.parametrize("text", ["shear:1", "noise", "noise:1:2", "rotation:0", ""])
+def test_parse_augmentation_rejects_a_bad_spec(text):
+    with pytest.raises(ValueError, match=r"bad augmentation spec .*; expected noise:SIGMA or rotation:LO:HI"):
+        parse_augmentation(text)

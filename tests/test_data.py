@@ -1,10 +1,12 @@
 """Tests for the synthetic dataset generators, standardization and CSV I/O."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from miclust import DataMatrix, make_circles, make_gaussian_blobs, standardize
-from miclust.data import load_csv, make_rng, save_csv
+from miclust.data import load_csv, make_rng, save_csv, write_csv
 
 
 def test_make_rng_is_reproducible():
@@ -103,3 +105,43 @@ def test_csv_round_trip_without_labels(tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.values, dm.values)
     assert back.labels is None
+
+
+def _save_csv_row_loop(X, path):
+    """`save_csv` as it was, one `writerow` per sample; kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"f{j}" for j in range(X.d)]
+        if X.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(X.n):
+            row = [repr(float(v)) for v in X.values[i]]
+            if X.labels is not None:
+                row.append(str(int(X.labels[i])))
+            writer.writerow(row)
+
+
+def _csv_cases():
+    gen = make_rng(5)
+    awkward = np.array([[0.0, -0.0, 1e-310], [1e308, -1e308, 0.1], [1 / 3, -2.5e-5, 123456789.0]])
+    yield pytest.param(DataMatrix(awkward, np.array([0, 1, 2])), id="awkward-floats")
+    yield pytest.param(DataMatrix(np.array([[7.0]]), np.array([3])), id="one-by-one")
+    for n, d in ((1, 4), (17, 1), (250, 3)):
+        values = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-8, 8, size=(n, d))
+        yield pytest.param(DataMatrix(values, gen.integers(0, 5, size=n)), id=f"n{n}-d{d}")
+    yield pytest.param(make_circles(101, 0.05, 0.3, 2), id="circles")
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "no-labels"])
+@pytest.mark.parametrize("dm", list(_csv_cases()))
+def test_save_csv_matches_the_row_loop_byte_for_byte(tmp_path, dm, labelled):
+    dm = dm if labelled else DataMatrix(dm.values)
+    save_csv(dm, tmp_path / "new.csv")
+    _save_csv_row_loop(dm, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_writes_the_header_then_the_rows(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"], iter([(0, "x"), (1, "y,z")]))
+    assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n0,x\r\n1,"y,z"\r\n'

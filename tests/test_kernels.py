@@ -126,3 +126,17 @@ def test_gram_matches_out_of_place_formula_bit_for_bit(X, Y, spec):
     before = (_digest(X), _digest(Y))
     assert _digest(gram(X, Y, spec).values) == _digest(_gram_out_of_place(X, Y, spec))
     assert (_digest(X), _digest(Y)) == before
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_kernel_spec_rejects_a_non_finite_gamma(kind, gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        KernelSpec(kind, gamma)
+
+
+def test_kernel_spec_gamma_bounds():
+    with pytest.raises(ValueError, match="positive for rbf"):
+        KernelSpec("rbf", 0.0)
+    assert KernelSpec("rbf", 1e300).gamma == 1e300
+    assert KernelSpec("linear", 0.0).gamma == 0.0  # ignored by the linear kernel, but finite

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from miclust import KernelSpec, LinearModel, MlpModel, NonparametricModel, init_model, load_model
+from miclust import KernelSpec, LinearModel, MlpModel, NonparametricModel, init_critic, init_model, load_model
 from miclust.data import make_rng
 from miclust.models import ClusterModel, KernelModel, dataset_fingerprint, log_softmax, softmax, softmax_backward
+from miclust.objectives import mi
+from miclust.optim import evaluate_objective
 
 
 def test_linear_hand_logits():
@@ -118,8 +120,11 @@ def test_fingerprint_is_content_addressed():
 
 
 def test_weight_norm_excludes_biases():
+    # RIM penalizes the weights' squared Frobenius norm, 6 + 6 here, and not the biases of 9
     model = MlpModel(np.ones((2, 3)), np.full(3, 9.0), np.ones((3, 2)), np.full(2, 9.0))
-    assert model.weight_norm_sq() == 12.0
+    obj = evaluate_objective(model, np.full((4, 2), 0.5), "rim", lam=1.0)  # uniform responsibilities: MI 0
+    assert obj.value == -12.0
+    assert sorted(obj.grad_params) == ["W1", "W2"]
 
 
 def test_shape_validation():
@@ -207,4 +212,30 @@ def test_kernel_head_is_a_linear_head_on_kernel_features():
     F = model.features(X)
     linear = LinearModel(model.params["A"], model.params["b"])
     assert np.array_equal(model.logits(X), linear.logits(F))
-    assert model.weight_norm_sq() == float(np.sum(model.params["A"] ** 2))
+    P = model.forward(X)
+    obj = evaluate_objective(model, P, "rim", lam=1.0)
+    assert obj.value == mi(P).value - float(np.sum(model.params["A"] ** 2))
+    assert list(obj.grad_params) == ["A"]
+
+
+# each class's own n_clusters as it was, before ClusterModel read it off the last parameter; kept as the oracle
+N_CLUSTERS_AS_IT_WAS = {
+    "linear": lambda m: m.W.shape[1],
+    "kernel": lambda m: m.W.shape[1],
+    "mlp": lambda m: m.W2.shape[1],
+    "nonparametric": lambda m: m.L.shape[1],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", sorted(N_CLUSTERS_AS_IT_WAS))
+def test_n_clusters_is_the_old_per_class_value(kind, k):
+    X = make_rng(k).normal(size=(9, 3))
+    model = init_model(kind, {"d": 3, "k": k, "hidden": 4}, rng=0, X_ref=X, X=X)
+    assert type(model).n_clusters is ClusterModel.n_clusters
+    assert model.n_clusters == N_CLUSTERS_AS_IT_WAS[kind](model) == k
+    assert load_model(model.to_json()).n_clusters == k
+
+
+def test_n_clusters_of_the_contrastive_critic():
+    assert init_critic(2, 5, 4, rng=0).n_clusters == 4

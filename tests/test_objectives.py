@@ -139,3 +139,9 @@ def test_zero_upstream_gradient_maps_to_zero():
     X = make_rng(10).normal(size=(5, 2))
     grads = model.backward(X, np.zeros((5, 2)))
     assert all(np.allclose(g, 0.0) for g in grads.values())
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_rim_rejects_a_negative_or_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        rim(np.full((3, 2), 0.5), {"W": np.ones((2, 2))}, lam)

@@ -116,3 +116,10 @@ def test_gradient_check_every_model_objective_pair(kind, objective):
     tol = 1e-4 if objective == "mmd-gemini" else 1e-5
     report = check_gradients(model, objective, X.values, tol=tol, lam=0.1)
     assert report.passed, f"{kind}/{objective}: max rel err {report.max_rel_err}"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["learning_rate", "adam_eps", "lam"])
+def test_train_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TrainConfig(**{field: value})

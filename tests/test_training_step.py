@@ -117,11 +117,11 @@ def two_gram_fit(model, X, cfg: TrainConfig) -> str:
 
 @pytest.mark.parametrize("spec", [mc.KernelSpec("rbf"), mc.KernelSpec("linear")], ids=["rbf", "linear"])
 def test_kernel_mmd_gemini_fit_shares_its_features_as_the_training_gram(monkeypatch, spec):
-    # at n=100, d=2, X @ X.T (BLAS syrk) and X @ copy(X).T (gemm) differ in the last bit,
-    # so a head whose X_ref is only an equal copy of X keeps its own Gram
+    # gram(X, Y) gives the same bits for a copy Y of X in the same layout (an equal linear Y takes X's syrk
+    # path), so a head whose X_ref is only an equal copy of X shares the training Gram too
     X = mc.standardize(mc.make_circles(100, 0.05, 0.1, 0)).values
     cfg = TrainConfig(epochs=200, learning_rate=1e-2, seed=4, objective="mmd-gemini", kernel=spec)
-    for X_ref, grams in ((X, 1), (X.copy(), 2)):
+    for X_ref, grams in ((X, 1), (X.copy(), 1)):
         expected = two_gram_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
         calls = counting(monkeypatch, miclust.models, "gram")
         optim_calls = counting(monkeypatch, miclust.optim, "gram")
@@ -129,6 +129,20 @@ def test_kernel_mmd_gemini_fit_shares_its_features_as_the_training_gram(monkeypa
         monkeypatch.undo()
         assert calls[0] + optim_calls[0] == grams
         assert report.to_json() == expected
+
+
+def test_kernel_fit_builds_its_own_features_for_an_equal_x_ref_in_another_layout(monkeypatch):
+    # the rbf gemm against a Fortran-ordered copy of X can differ from the one against X in the last bit
+    X = make_rng(5).normal(size=(120, 7))
+    spec = mc.KernelSpec("rbf", 0.3)
+    cfg = TrainConfig(epochs=50, learning_rate=1e-2, seed=4, objective="mmd-gemini", kernel=spec)
+    expected = two_gram_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=np.asfortranarray(X), spec=spec), X, cfg)
+    calls = counting(monkeypatch, miclust.models, "gram")
+    optim_calls = counting(monkeypatch, miclust.optim, "gram")
+    report = mc.fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=np.asfortranarray(X), spec=spec), X, cfg)
+    monkeypatch.undo()
+    assert calls[0] + optim_calls[0] == 2
+    assert report.to_json() == expected
 
 
 def test_nonparametric_fit_checks_its_binding_once(monkeypatch, circles):
