@@ -103,8 +103,7 @@ def spectral(X, K: int, affinity: KernelSpec | None = None, rng=0) -> np.ndarray
         raise ValueError(f"K={K} exceeds the number of samples n={n}")
     # the default affinity bandwidth is fixed rather than variance-scaled:
     # the graph must be sparse enough that the ring structure separates
-    spec = (affinity or KernelSpec("rbf", gamma=1.0)).resolve(X)
-    A = gram(X, X, spec).values
+    A = gram(X, X, affinity or KernelSpec("rbf", gamma=1.0)).values
     np.fill_diagonal(A, 0.0)
     deg = A.sum(axis=1)
     if np.any(deg <= 0):

@@ -97,16 +97,6 @@ def cmd_generate(args) -> int:
 def _run_model(args, X: data_mod.DataMatrix):
     """Run the `--model` id on X and return its report."""
     spec = KernelSpec(args.kernel, args.gamma)
-    start = time.perf_counter()
-    if args.model == "kmeans":
-        labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
-        final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
-        config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
-        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start)
-    if args.model == "spectral":
-        labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
-        config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
-        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start)
     # an id names a model kind, with "-rim" spelling out the objective its kind defaults to
     kind = args.model.removesuffix("-rim")
     objective = args.objective or ("rim" if kind in ("linear", "kernel") else "mi")
@@ -115,10 +105,21 @@ def _run_model(args, X: data_mod.DataMatrix):
         # an unregularized linear model drifts to huge weights and an
         # arbitrary cut; the kernel model is well behaved without a penalty
         reg = 0.1 if (objective == "rim" and kind == "linear") else 0.0
-    dims = {"d": X.d, "k": args.k, "hidden": args.hidden}
-    model = init_model(kind, dims, rng=args.seed, X_ref=X.values, spec=spec, X=X.values)
+    # built for every id, so the baselines reject the same flags as the trained models
     cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed, objective=objective, lam=reg,
                       kernel=spec)
+    start = time.perf_counter()
+    if kind == "kmeans":
+        labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
+        final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
+        config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
+        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start)
+    if kind == "spectral":
+        labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
+        config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
+        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start)
+    dims = {"d": X.d, "k": args.k, "hidden": args.hidden}
+    model = init_model(kind, dims, rng=args.seed, X_ref=X.values, spec=spec, X=X.values)
     return fit(model, X.values, cfg)
 
 

@@ -71,8 +71,9 @@ def _row_blocks(n: int, m: int):
 
 def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
     """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    # C order whatever the layout given, so the bits depend on the values alone (BLAS sums by layout)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     out = np.matmul(2.0 * X, Y.T)
@@ -90,9 +91,9 @@ def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
-    """Gram matrix of the kernel between two sample sets."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    """Gram matrix of the kernel between two sample sets; its bits depend on their values and spec alone."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     spec = spec.resolve(X)
@@ -104,8 +105,8 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
 
 
 def default_gamma(X: np.ndarray) -> float:
-    """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries."""
-    X = np.asarray(X, dtype=np.float64)
+    """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     var = X.var()
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")

@@ -27,12 +27,6 @@ def softmax(Z: np.ndarray) -> np.ndarray:
     return e / _row_reduce(np.add, e)
 
 
-def log_softmax(Z: np.ndarray) -> np.ndarray:
-    """Row-wise log-probabilities computed as logits - logsumexp."""
-    shifted = Z - _row_reduce(np.maximum, Z)
-    return shifted - np.log(_row_reduce(np.add, np.exp(shifted)))
-
-
 def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     """Map a gradient w.r.t. softmax outputs to a gradient w.r.t. logits."""
     return P * (dP - _row_reduce(np.add, dP * P))
@@ -174,7 +168,7 @@ class KernelModel(LinearModel):
         return self.W
 
     def features(self, X):
-        return gram(np.asarray(X, dtype=np.float64), self.X_ref, self.spec).values
+        return gram(X, self.X_ref, self.spec).values
 
     # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
     logits = ClusterModel.logits
@@ -232,7 +226,7 @@ class MlpModel(ClusterModel):
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(np.asarray(X, dtype=np.float64)).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes()).hexdigest()
 
 
 class NonparametricModel(ClusterModel):
@@ -281,7 +275,7 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
 
     Default scale is 1/sqrt(fan-in) per weight matrix, except the kernel
     model which defaults to 1/n_ref. `dims` carries the
-    model-specific sizes: d, k, hidden (mlp), n (nonparametric).
+    model-specific sizes: d, k, hidden (mlp).
 
     Extra keyword arguments:
       kernel: X_ref and spec for the kernel model.

@@ -139,8 +139,7 @@ def training_gram(X, objective: str, kernel: KernelSpec | None = None):
     if objective not in OBJECTIVES or not OBJECTIVES[objective][0]:
         return None
     values = _as_values(X)
-    spec = (kernel or KernelSpec("rbf")).resolve(values)
-    return gram(values, values, spec)
+    return gram(values, values, kernel or KernelSpec("rbf"))
 
 
 def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: float, G):
@@ -197,10 +196,8 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     """
     values = _as_values(X)
     G = training_gram(values, cfg.objective, cfg.kernel)
-    # a kernel head on an equal array under the training kernel has the training Gram as its features: gram(X, Y)
-    # gives the same bits for every Y equal to X in the same memory layout (another layout can change the gemm's)
-    head_on_values = (isinstance(model, KernelModel) and model.X_ref.strides == values.strides
-                      and np.array_equal(model.X_ref, values))
+    # a kernel head on an equal array under the training kernel has the training Gram as its features
+    head_on_values = isinstance(model, KernelModel) and np.array_equal(model.X_ref, values)
     F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
     # echo the kernel the fit trained against, not one it was handed and never used
     config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict() if G is not None else None)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import miclust as mc
+import miclust.baselines
 import miclust.cli
 import miclust.contrastive
 import miclust.models
@@ -386,12 +387,23 @@ NON_FINITE_FIT_FLAGS = [["--reg", "nan"], ["--reg", "inf"], ["--lr", "nan"], ["-
                         ["--gamma", "inf"], ["--kernel", "linear", "--gamma", "nan"]]
 
 
+# each run ends in its output flag; the baselines validate the flags they do not use as a trained model does
+NON_FINITE_RUNS = {
+    "fit-mlp": ["fit", "--model", "mlp", "--objective", "mmd-gemini", "--out-dir"],
+    "fit-kmeans": ["fit", "--model", "kmeans", "--out-dir"],
+    "fit-spectral": ["fit", "--model", "spectral", "--out-dir"],
+    "sweep-kmeans": ["sweep", "--model", "kmeans", "--out"],
+}
+
+
 @pytest.mark.parametrize("flags", NON_FINITE_FIT_FLAGS, ids=lambda f: "".join(f))
-def test_fit_rejects_non_finite_settings_before_training(tmp_path, circles_csv, flags, monkeypatch, capsys):
+@pytest.mark.parametrize("run", NON_FINITE_RUNS.values(), ids=NON_FINITE_RUNS)
+def test_fit_rejects_non_finite_settings_before_training(tmp_path, circles_csv, run, flags, monkeypatch, capsys):
     monkeypatch.setattr(miclust.cli, "fit", lambda *a: pytest.fail("training started"))
+    for baseline in ("kmeans", "spectral"):
+        monkeypatch.setattr(miclust.baselines, baseline, lambda *a, **k: pytest.fail("training started"))
     out = tmp_path / "run"
-    code = main(["fit", "--model", "mlp", "--objective", "mmd-gemini", "--data", str(circles_csv),
-                 "--epochs", "3", "--out-dir", str(out), *flags])
+    code = main([*run, str(out), "--data", str(circles_csv), "--epochs", "3", *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

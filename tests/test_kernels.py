@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from miclust import KernelSpec, default_gamma, gram, make_circles, standardize
+from miclust import KernelSpec, default_gamma, gram, make_circles, silhouette, standardize
 from miclust.data import make_rng
 from miclust.kernels import pairwise_sq_dist
 
@@ -140,3 +140,30 @@ def test_kernel_spec_gamma_bounds():
         KernelSpec("rbf", 0.0)
     assert KernelSpec("rbf", 1e300).gamma == 1e300
     assert KernelSpec("linear", 0.0).gamma == 0.0  # ignored by the linear kernel, but finite
+
+
+def _layouts(X):
+    """X as a C-ordered copy, a Fortran-ordered copy and a view strided in both axes."""
+    strided = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+    strided[::2, ::2] = X
+    return {"C": X.copy(), "F": np.asfortranarray(X), "strided": strided[::2, ::2]}
+
+
+def _kernel_outputs(X, Y):
+    """The bytes of every kernel-layer result on X, with Y as the second sample set of the Grams."""
+    specs = [KernelSpec("rbf"), KernelSpec("rbf", 0.3), KernelSpec("linear")]
+    labels = (X[:, 0] > 0).astype(np.int64)
+    out = [gram(X, Y, spec).values for spec in specs] + [pairwise_sq_dist(X, Y), silhouette(X, labels)[1]]
+    return [a.tobytes() for a in out] + [repr(default_gamma(X))]
+
+
+# a 100x2 array whose variance sums differently in Fortran order, and a d=7 one whose rbf gemm does
+@pytest.mark.parametrize("seed,shape", [(100, (100, 2)), (7, (300, 7))], ids=["n100-d2", "n300-d7"])
+def test_kernel_layer_depends_on_values_not_layout(seed, shape):
+    X = make_rng(seed).normal(size=shape)
+    expected = _kernel_outputs(X, X)
+    for layout, Y in _layouts(X).items():
+        assert _kernel_outputs(Y, Y) == expected, layout
+        # an equal copy in another layout against the C array: the case of a kernel head's X_ref in `fit`
+        assert _kernel_outputs(Y, X) == expected, layout
+        assert _kernel_outputs(X, Y) == expected, layout

@@ -7,7 +7,7 @@ import pytest
 
 from miclust import KernelSpec, LinearModel, MlpModel, NonparametricModel, init_critic, init_model, load_model
 from miclust.data import make_rng
-from miclust.models import ClusterModel, KernelModel, dataset_fingerprint, log_softmax, softmax, softmax_backward
+from miclust.models import ClusterModel, KernelModel, dataset_fingerprint, softmax, softmax_backward
 from miclust.objectives import mi
 from miclust.optim import evaluate_objective
 
@@ -29,11 +29,6 @@ def test_softmax_shift_invariance_and_stability():
     P = softmax(Z)
     assert np.all(np.isfinite(P))
     assert np.allclose(P[0], P[1])
-
-
-def test_log_softmax_matches_log_of_softmax():
-    Z = make_rng(1).normal(size=(8, 3))
-    assert np.allclose(log_softmax(Z), np.log(softmax(Z)), atol=1e-12)
 
 
 def test_softmax_backward_matches_finite_differences():
