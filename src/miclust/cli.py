@@ -99,6 +99,11 @@ def _run_model(args, X: data_mod.DataMatrix):
     spec = KernelSpec(args.kernel, args.gamma)
     # an id names a model kind, with "-rim" spelling out the objective its kind defaults to
     kind = args.model.removesuffix("-rim")
+    # checked for every id, so no flag is silently ignored by the ids it does not apply to
+    if args.hidden < 1 or args.n_init < 1:
+        raise ValueError(f"--hidden and --n-init must be >= 1, got {args.hidden} and {args.n_init}")
+    if args.objective is not None and kind in ("kmeans", "spectral"):
+        raise ValueError(f"--objective does not apply to --model {kind}, a baseline with no training objective")
     objective = args.objective or ("rim" if kind in ("linear", "kernel") else "mi")
     reg = args.reg
     if reg is None:
@@ -173,6 +178,7 @@ def cmd_sweep(args) -> int:
     for k in ks:
         for seed in seeds:
             report = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
+            report.gram = None  # the held training Gram is not scored here; let it go before the silhouette
             labels = np.asarray(report.labels)
             # k-means reports no history; its objective is the negated inertia
             objective_value = report.history[-1] if report.history else -report.final_model.get("inertia", float("nan"))

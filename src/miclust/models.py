@@ -1,12 +1,14 @@
 """Discriminative clustering models p(y|x) with exact analytic gradients.
 
-Every model maps an n x d matrix to an n x K row-stochastic responsibility
-matrix through a softmax, in two stages: `features` maps X to the fixed,
-parameter-free input of the head (built once per fit), and `head` maps
-features to logits, keeping the intermediates `head_backward` reuses. The
-public `forward`, `backward`, `logits` and `backward_from_logits` take raw X
-and wrap the same stages; `backward_from_logits` skips the softmax Jacobian
-(used by the contrastive critic, which consumes raw logits).
+A model maps an n x d matrix to n x K logits in two stages, which with
+`head_backward` are its whole training interface: `features` maps X to the
+fixed, parameter-free input of the head (built once per fit), and `head`
+maps features to logits, keeping the intermediates `head_backward` reuses.
+Each training epoch runs `head` once and `head_backward` once; a clustering
+objective puts `softmax`/`softmax_backward` between them, and the contrastive
+critic uses the raw logits. The public `forward`/`backward` and `logits`/
+`backward_from_logits` take X and rebuild the features on each call, for
+prediction, the boundary grid, the critic's augmented branch and the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ def softmax(Z: np.ndarray) -> np.ndarray:
 
 
 def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
-    """Map a gradient w.r.t. softmax outputs to a gradient w.r.t. logits."""
+    """Map a gradient w.r.t. softmax outputs to one w.r.t. logits; a dP not finite or not of P's shape raises."""
+    if dP.shape != P.shape:
+        raise ValueError(f"gradient shape {dP.shape} does not match responsibilities {P.shape}")
+    if not np.isfinite(dP).all():
+        raise ValueError("gradient w.r.t. responsibilities contains non-finite entries")
     return P * (dP - _row_reduce(np.add, dP * P))
 
 
@@ -45,7 +51,7 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 class ClusterModel:
-    """Shared one-pass training step; subclasses provide features and the head."""
+    """Subclasses provide `features`, `head` and `head_backward`; the X-level wrappers are shared."""
 
     kind = "abstract"
     # parameter names, in constructor order; RIM penalizes the Frobenius norm of the weight_keys
@@ -70,27 +76,15 @@ class ClusterModel:
         """Parameter gradients from a logit gradient, given the head's intermediates."""
         raise NotImplementedError
 
-    def step(self, F: np.ndarray) -> tuple:
-        """Run the head once: the responsibilities and the tape `step_backward` reuses."""
-        Z, saved = self.head(F)
-        P = softmax(Z)
-        return P, (F, saved, P)
-
-    def step_backward(self, tape: tuple, dP: np.ndarray) -> dict:
-        """Parameter gradients from a gradient w.r.t. the responsibilities of `step`."""
-        F, saved, P = tape
-        if dP.shape != P.shape:
-            raise ValueError(f"gradient shape {dP.shape} does not match responsibilities {P.shape}")
-        if not np.isfinite(dP).all():
-            raise ValueError("gradient w.r.t. responsibilities contains non-finite entries")
-        return self.head_backward(F, saved, softmax_backward(P, dP))
-
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return self.step(self.features(X))[0]
+        return softmax(self.head(self.features(X))[0])
 
     def backward(self, X: np.ndarray, dP: np.ndarray) -> dict:
-        return self.step_backward(self.step(self.features(X))[1], dP)
+        F = self.features(X)
+        Z, saved = self.head(F)
+        return self.head_backward(F, saved, softmax_backward(softmax(Z), dP))
 
+    # perfbench/tracing.py wraps these two by name on the class that defines them, so each subclass rebinds both
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.head(self.features(X))[0]
 
@@ -142,7 +136,6 @@ class LinearModel(ClusterModel):
     def head_backward(self, F, saved, dZ):
         return {self.weight_keys[0]: F.T @ dZ, "b": dZ.sum(axis=0)}
 
-    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
     logits = ClusterModel.logits
     backward_from_logits = ClusterModel.backward_from_logits
 
@@ -170,7 +163,6 @@ class KernelModel(LinearModel):
     def features(self, X):
         return gram(X, self.X_ref, self.spec).values
 
-    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
     logits = ClusterModel.logits
     backward_from_logits = ClusterModel.backward_from_logits
 
@@ -220,7 +212,6 @@ class MlpModel(ClusterModel):
             "b2": dZ.sum(axis=0),
         }
 
-    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
     logits = ClusterModel.logits
     backward_from_logits = ClusterModel.backward_from_logits
 
@@ -259,7 +250,6 @@ class NonparametricModel(ClusterModel):
     def head_backward(self, F, saved, dZ):
         return {"L": dZ.copy()}
 
-    # perfbench/tracing.py wraps these two by name on each model class, so every class binds them
     logits = ClusterModel.logits
     backward_from_logits = ClusterModel.backward_from_logits
 

@@ -12,7 +12,7 @@ import numpy as np
 from miclust.data import DataMatrix
 from miclust.errors import NumericError
 from miclust.kernels import KernelMatrix, KernelSpec, gram
-from miclust.models import ClusterModel, KernelModel
+from miclust.models import ClusterModel, KernelModel, softmax, softmax_backward
 from miclust.objectives import mi, mmd_gemini_ova, rim
 
 # name -> (whether it trains against the training-set Gram, evaluator (model, P, lam, G) -> ObjectiveValue)
@@ -145,17 +145,19 @@ def training_gram(X, objective: str, kernel: KernelSpec | None = None):
 def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: float, G):
     """Per-epoch closure of an objective on fixed features F.
 
-    Each call runs the head once and returns (value, gradient), where
-    `gradient()` backpropagates over the kept intermediates and adds the
+    Each call runs the head once, puts a softmax on its logits and returns
+    (value, gradient), where `gradient()` runs the softmax Jacobian and the
+    head's backward once over the kept intermediates and adds the
     objective's direct parameter terms.
     """
 
     def epoch():
-        P, tape = model.step(F)
+        Z, saved = model.head(F)
+        P = softmax(Z)
         obj = evaluate_objective(model, P, objective, lam, G)
 
         def gradient():
-            grads = model.step_backward(tape, obj.grad_resp)
+            grads = model.head_backward(F, saved, softmax_backward(P, obj.grad_resp))
             for name, extra in obj.grad_params.items():
                 grads[name] = grads[name] + extra
             return grads
@@ -204,7 +206,7 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
     # the report hands on the training Gram, else the head's features, so scoring on values need not rebuild it
     held = G if G is not None or not head_on_values else KernelMatrix(F, model.spec)
-    return replace(_train(model, cfg, epoch, lambda: model.step(F)[0], config), gram=held)
+    return replace(_train(model, cfg, epoch, lambda: softmax(model.head(F)[0]), config), gram=held)
 
 
 def predict(model: ClusterModel, X) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,22 @@ def test_sweep_rows_score_each_fits_labels(tmp_path, circles_csv):
             assert row["silhouette"] == ""
 
 
+def test_sweep_lets_each_fits_training_gram_go_before_scoring(tmp_path):
+    # each fit's held training Gram is unused by the sweep, so the peak stays near the one n x n matrix of a fit
+    n = 1000
+    data = tmp_path / "circles.csv"
+    assert main(["generate", "circles", "--n", str(n), "--standardize", "--out", str(data)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--model", "mlp", "--objective", "mmd-gemini", "--k-range", "2:3", "--seeds", "0",
+                     "--epochs", "2", "--data", str(data), "--out", str(tmp_path / "sweep.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.5 * n * n * 8
+
+
 def test_config_file_provides_defaults(tmp_path, circles_csv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs = 7\nmodel = linear\n")
@@ -404,6 +421,30 @@ def test_fit_rejects_non_finite_settings_before_training(tmp_path, circles_csv, 
         monkeypatch.setattr(miclust.baselines, baseline, lambda *a, **k: pytest.fail("training started"))
     out = tmp_path / "run"
     code = main([*run, str(out), "--data", str(circles_csv), "--epochs", "3", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# flags that a model id does not use are still checked, never silently ignored
+IGNORED_FLAG_RUNS = {
+    "kmeans-hidden-0": ["--model", "kmeans", "--hidden", "0"],
+    "mlp-n-init-0": ["--model", "mlp", "--n-init", "0"],
+    "linear-n-init--5": ["--model", "linear", "--n-init", "-5"],
+    "kmeans-objective": ["--model", "kmeans", "--objective", "mmd-gemini"],
+    "spectral-objective": ["--model", "spectral", "--objective", "rim"],
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+@pytest.mark.parametrize("flags", IGNORED_FLAG_RUNS.values(), ids=IGNORED_FLAG_RUNS)
+def test_flags_a_model_does_not_use_are_still_validated(tmp_path, circles_csv, command, flags, monkeypatch, capsys):
+    monkeypatch.setattr(miclust.cli, "fit", lambda *a: pytest.fail("training started"))
+    for baseline in ("kmeans", "spectral"):
+        monkeypatch.setattr(miclust.baselines, baseline, lambda *a, **k: pytest.fail("training started"))
+    out = tmp_path / "run"
+    code = main([command, *flags, "--data", str(circles_csv), "--epochs", "3",
+                 "--out-dir" if command == "fit" else "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

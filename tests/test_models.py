@@ -47,6 +47,21 @@ def test_softmax_backward_matches_finite_differences():
     assert np.allclose(analytic, numeric, atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "dP, message",
+    [
+        (np.zeros((6, 2)), r"gradient shape \(6, 2\) does not match responsibilities \(6, 3\)"),
+        (np.full((6, 3), np.nan), "gradient w.r.t. responsibilities contains non-finite entries"),
+    ],
+    ids=["shape", "nan"],
+)
+def test_backward_rejects_a_bad_responsibility_gradient(dP, message):
+    X = make_rng(4).normal(size=(6, 2))
+    model = init_model("mlp", {"d": 2, "k": 3, "hidden": 4}, rng=0)
+    with pytest.raises(ValueError, match=message):
+        model.backward(X, dP)
+
+
 @pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
 def test_forward_is_row_stochastic(kind):
     X = make_rng(3).normal(size=(12, 2))

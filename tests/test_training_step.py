@@ -18,6 +18,7 @@ import pytest
 
 import miclust as mc
 import miclust.models
+import miclust.objectives
 import miclust.optim
 from miclust import FitReport, TrainConfig
 from miclust.data import make_rng
@@ -97,6 +98,60 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_methods(monkeypatch, cls, *names):
+    """Count calls of the named methods on a model class, as the instances of that class make them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
+@pytest.mark.parametrize("objective", list(miclust.optim.OBJECTIVES))
+def test_each_fit_epoch_runs_head_and_head_backward_once(monkeypatch, circles, kind, objective):
+    model = make_model(kind, circles.values, 0)
+    counts = counting_methods(monkeypatch, type(model), "head", "head_backward", "forward", "backward", "logits")
+    mc.fit(model, circles.values, TrainConfig(epochs=7, learning_rate=1e-2, objective=objective, lam=0.05))
+    # one head per epoch plus one for the final labels; the X-level wrappers are not used
+    assert counts == {"head": 8, "head_backward": 7, "forward": 0, "backward": 0, "logits": 0}
+    assert not hasattr(model, "step") and not hasattr(model, "step_backward")
+
+
+@pytest.mark.parametrize("objective", list(miclust.optim.OBJECTIVES))
+def test_check_gradients_runs_head_backward_once(monkeypatch, circles, objective):
+    model = make_model("mlp", circles.values, 0)
+    counts = counting_methods(monkeypatch, type(model), "head", "head_backward")
+    mc.check_gradients(model, objective, circles.values, lam=0.05)
+    # the analytic epoch, then two value-only epochs per scalar parameter
+    n_scalars = sum(p.size for p in model.params.values())
+    assert counts == {"head": 1 + 2 * n_scalars, "head_backward": 1}
+
+
+def test_each_contrastive_epoch_runs_one_trained_head_and_head_backward(monkeypatch, circles):
+    critic = mc.init_critic(2, 8, 2, rng=2)
+    counts = counting_methods(monkeypatch, type(critic), "head", "head_backward", "logits")
+    mc.train_contrastive(critic, circles.values, mc.GaussianNoise(0.5), TrainConfig(epochs=7, seed=2))
+    # per epoch: the trained branch's head and head_backward, and the stop-gradient
+    # augmented branch through `logits` (one more head, never backpropagated); then the labels' head
+    assert counts == {"head": 7 + 7 + 1, "head_backward": 7, "logits": 7}
+
+
+def test_fit_rejects_a_non_finite_responsibility_gradient(monkeypatch, circles):
+    def finite_value_nan_gradient(model, P, lam, G):
+        return miclust.objectives.ObjectiveValue(0.5, np.full_like(P, np.nan), {})
+
+    monkeypatch.setitem(miclust.optim.OBJECTIVES, "mi", (False, finite_value_nan_gradient))
+    model = make_model("linear", circles.values, 0)
+    with pytest.raises(ValueError, match="gradient w.r.t. responsibilities contains non-finite entries"):
+        mc.fit(model, circles.values, TrainConfig(epochs=3, objective="mi"))
+
+
 def test_kernel_rim_builds_its_gram_once_per_fit(monkeypatch):
     c = mc.standardize(mc.make_circles(200, 0.05, 0.1, 0))
     model = mc.init_model("kernel", {"k": 2}, rng=0, X_ref=c.values)
@@ -112,7 +167,7 @@ def two_gram_fit(model, X, cfg: TrainConfig) -> str:
     F = model.features(X)
     config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict())
     epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
-    return _train(model, cfg, epoch, lambda: model.step(F)[0], config).to_json()
+    return _train(model, cfg, epoch, lambda: mc.models.softmax(model.head(F)[0]), config).to_json()
 
 
 @pytest.mark.parametrize("spec", [mc.KernelSpec("rbf"), mc.KernelSpec("linear")], ids=["rbf", "linear"])
