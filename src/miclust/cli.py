@@ -104,6 +104,8 @@ def _run_model(args, X: data_mod.DataMatrix):
         raise ValueError(f"--hidden and --n-init must be >= 1, got {args.hidden} and {args.n_init}")
     if args.objective is not None and kind in ("kmeans", "spectral"):
         raise ValueError(f"--objective does not apply to --model {kind}, a baseline with no training objective")
+    if args.objective not in (None, "rim") and args.model.endswith("-rim"):
+        raise ValueError(f"--model {args.model} trains rim; it contradicts --objective {args.objective}")
     objective = args.objective or ("rim" if kind in ("linear", "kernel") else "mi")
     reg = args.reg
     if reg is None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +64,44 @@ def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_BYTES = 1 << 18  # per row block of the distance epilogue: about 256 KB, so each block's passes run in cache
+# From this much matrix up, work runs on the pool. Two gemv calls on one BLAS thread, serial against two threads:
+# n=500 (1.9 MB) 107 against 193 us, n=700 (3.7 MB) 339 against 248 us, n=1000 647 against 365 us.
+_PARALLEL_BYTES = 1 << 22
+_POOL = "miclust-kernels"
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _row_blocks(n: int, m: int):
-    """Slices over the rows of an n x m float64 matrix, about _BLOCK_BYTES each."""
+@functools.cache
+def _executor():
+    """The one thread pool of the O(n^2) layer, made on first use (its import costs each process about 6 ms)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_WORKERS, _POOL)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)  # the pool's threads do not survive a fork
+
+
+def _workers(nbytes: int) -> int:
+    """Threads for work over nbytes of matrix: 1 below _PARALLEL_BYTES, or on a pool thread (no nested deadlock)."""
+    return 1 if nbytes < _PARALLEL_BYTES or threading.current_thread().name.startswith(_POOL) else _WORKERS
+
+
+def _map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], each call whole on one pool thread if workers > 1, so with the serial bits."""
+    # no caller splits one BLAS call over items (G[rows] @ v differs from G @ v), and fn calls no traced public function
+    return [fn(item) for item in items] if workers < 2 or len(items) < 2 else list(_executor().map(fn, items))
+
+
+def _for_row_blocks(n: int, m: int, body, workers: int) -> None:
+    """body(rows) per row block of about _BLOCK_BYTES of an n x m float64 matrix, one run of blocks per worker."""
     step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    starts = range(0, n, step)
+    runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers] for i in range(workers)]
+    _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, workers)
 
 
-def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
+def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None, serial=False) -> np.ndarray:
     """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
     # C order whatever the layout given, so the bits depend on the values alone (BLAS sums by layout)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -78,10 +110,13 @@ def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: Non
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     out = np.matmul(2.0 * X, Y.T)
     xx, yy = _row_reduce(np.add, X * X).ravel(), _row_reduce(np.add, Y * Y).ravel()
-    for rows in _row_blocks(*out.shape):
+
+    def epilogue(rows):
         block = out[rows]
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         finish(rows, np.maximum(block, 0.0, out=block))
+
+    _for_row_blocks(*out.shape, epilogue, 1 if serial else _workers(out.nbytes))  # serial: a finish holding the GIL
     return out
 
 

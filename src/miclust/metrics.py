@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import _row_blocks, _row_reduce, _sq_dist_blocks
+from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks
 
 
 def contingency(a, b) -> np.ndarray:
@@ -78,11 +78,11 @@ def silhouette(X, labels, precomputed: bool = False):
             # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
             intra[rows.start + own] = np.ascontiguousarray(members[own]).sum(axis=1) / max(sizes[j] - 1, 1)
 
+    # serial: fancy indexing and cumsum hold the GIL; two threads took 171 -> 188 ms at n=4000 (93 -> 112 precomputed)
     if precomputed:
-        for rows in _row_blocks(n, n):
-            block_means(rows, D[rows])
+        _for_row_blocks(n, n, lambda rows: block_means(rows, D[rows]), 1)
     else:
-        _sq_dist_blocks(D, D, lambda rows, block: block_means(rows, np.sqrt(block, out=block)))
+        _sq_dist_blocks(D, D, lambda rows, block: block_means(rows, np.sqrt(block, out=block)), serial=True)
     mean_to[np.arange(n), inv] = np.inf
     outer = _row_reduce(np.minimum, mean_to).ravel()
     denom = np.maximum(intra, outer)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from miclust.kernels import KernelMatrix
+from miclust.kernels import KernelMatrix, _map, _workers
 
 # floor inside logs so that the 0*log(0) := 0 convention is numerically safe
 _LOG_FLOOR = 1e-300
@@ -105,12 +105,12 @@ def mmd_gemini_ova(P: np.ndarray, K: KernelMatrix) -> ObjectiveValue:
     beta = np.full(n, 1.0 / n)
     value = 0.0
     grad = np.zeros_like(P)
-    for k in range(nk):
-        if pbar[k] < _PROP_EPS:
-            continue
-        alpha = P[:, k] / (n * pbar[k])
-        v = alpha - beta
-        Gv = G @ v
+    active = [k for k in range(nk) if pbar[k] >= _PROP_EPS]
+    alphas = [P[:, k] / (n * pbar[k]) for k in active]
+    vs = [alpha - beta for alpha in alphas]
+    # one whole G @ v per cluster, concurrently when G is large; the rest runs in k order
+    Gvs = _map(G.__matmul__, vs, _workers(G.nbytes))
+    for k, alpha, v, Gv in zip(active, alphas, vs, Gvs):
         q = float(v @ Gv)
         if q < _SQRT_EPS:
             # collapsed cluster conditional: MMD 0 with 0 subgradient

@@ -71,6 +71,12 @@ def test_kernel_score_rejects_empty_cluster():
         kernel_kmeans_score(np.array([0, 0, 2]), np.eye(3))
 
 
+@pytest.mark.parametrize("labels", [[-1, 0, 0, 1, 1, 0], [-1, -1, -1, -1, -1, -1]])
+def test_kernel_score_rejects_negative_labels(labels):
+    with pytest.raises(ValueError, match="labels must be >= 0"):
+        kernel_kmeans_score(np.array(labels), np.eye(6))
+
+
 def test_kernel_score_rejects_wrong_shape():
     with pytest.raises(ValueError):
         kernel_kmeans_score(np.array([0, 1]), np.eye(3))

@@ -433,6 +433,9 @@ IGNORED_FLAG_RUNS = {
     "linear-n-init--5": ["--model", "linear", "--n-init", "-5"],
     "kmeans-objective": ["--model", "kmeans", "--objective", "mmd-gemini"],
     "spectral-objective": ["--model", "spectral", "--objective", "rim"],
+    # a -rim id spells out its objective, so any other --objective contradicts it
+    "linear-rim-objective": ["--model", "linear-rim", "--objective", "mmd-gemini"],
+    "kernel-rim-objective": ["--model", "kernel-rim", "--objective", "mi"],
 }
 
 
@@ -448,6 +451,15 @@ def test_flags_a_model_does_not_use_are_still_validated(tmp_path, circles_csv, c
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["linear-rim", "kernel-rim"])
+def test_a_rim_id_accepts_the_objective_it_spells_out(tmp_path, circles_csv, model):
+    out = tmp_path / "run"
+    assert main(["fit", "--model", model, "--objective", "rim", "--data", str(circles_csv), "--epochs", "3",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["objective"] == "rim"
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -490,10 +502,15 @@ ID_FLAGS = [[], *(["--objective", o] for o in miclust.optim.OBJECTIVES), ["--reg
 @pytest.mark.parametrize("model_id", TRAINED_IDS)
 def test_model_id_rule_gives_the_old_report(tmp_path, circles_csv, model_id, flags):
     out = tmp_path / "run"
-    assert main(["fit", "--model", model_id, "--data", str(circles_csv), "--epochs", "5", "--out-dir", str(out),
-                 *flags]) == 0
-    got = json.loads((out / "report.json").read_text())
+    code = main(["fit", "--model", model_id, "--data", str(circles_csv), "--epochs", "5", "--out-dir", str(out),
+                 *flags])
     given = dict(zip(flags[::2], flags[1::2]))
+    if model_id.endswith("-rim") and given.get("--objective", "rim") != "rim":
+        # the old rule let --objective override the objective a -rim id spells out; now the pair is rejected
+        assert (code, out.exists()) == (2, False)
+        return
+    assert code == 0
+    got = json.loads((out / "report.json").read_text())
     reg = float(given["--reg"]) if "--reg" in given else None
     kind, objective, reg = _model_rule_as_it_was(model_id, given.get("--objective"), reg)
     X = load_csv(circles_csv).values
