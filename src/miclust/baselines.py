@@ -78,6 +78,8 @@ def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
     """
     labels = np.asarray(labels, dtype=np.int64)
     G = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
+    if labels.size == 0:
+        raise ValueError("kernel K-means score needs at least one labeled sample")
     if G.shape[0] != labels.shape[0] or G.shape[0] != G.shape[1]:
         raise ValueError("Gram matrix must be n x n on the labeled samples")
     if (labels < 0).any():

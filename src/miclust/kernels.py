@@ -101,7 +101,7 @@ def _for_row_blocks(n: int, m: int, body, workers: int) -> None:
     _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, workers)
 
 
-def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None, serial=False) -> np.ndarray:
+def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
     """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
     # C order whatever the layout given, so the bits depend on the values alone (BLAS sums by layout)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -116,7 +116,7 @@ def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: Non
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         finish(rows, np.maximum(block, 0.0, out=block))
 
-    _for_row_blocks(*out.shape, epilogue, 1 if serial else _workers(out.nbytes))  # serial: a finish holding the GIL
+    _for_row_blocks(*out.shape, epilogue, _workers(out.nbytes))
     return out
 
 
@@ -142,7 +142,9 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
 def default_gamma(X: np.ndarray) -> float:
     """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
     X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.size == 0:
+        raise ValueError(f"data of shape {X.shape} is empty; cannot derive a default gamma")
     var = X.var()
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")
-    return 1.0 / (X.shape[1] * var)
+    return float(1.0 / (X.shape[1] * var))

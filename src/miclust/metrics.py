@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks
+from miclust.kernels import _for_row_blocks, _row_reduce, pairwise_sq_dist
 
 
 def contingency(a, b) -> np.ndarray:
@@ -58,6 +58,8 @@ def silhouette(X, labels, precomputed: bool = False):
     labels = np.asarray(labels, dtype=np.int64)
     D = np.asarray(X, dtype=np.float64)
     n = labels.size
+    if len(D) != n:
+        raise ValueError(f"X has {len(D)} rows but there are {n} labels")
     if precomputed and D.shape != (n, n):
         raise ValueError("precomputed distance matrix must be n x n")
     uniq, inv = np.unique(labels, return_inverse=True)
@@ -65,24 +67,25 @@ def silhouette(X, labels, precomputed: bool = False):
         raise ValueError("silhouette requires at least 2 clusters")
     sizes = np.bincount(inv)
     members_of = [np.flatnonzero(inv == j) for j in range(uniq.size)]
+    if not precomputed:
+        D = pairwise_sq_dist(D, D)
+        np.sqrt(D, out=D)
     # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
 
-    def block_means(rows, block):
+    def block_means(rows):
         for j, idx in enumerate(members_of):
-            members = block[:, idx]
+            members = D[rows, idx]
             # a running sum in member order, the order in which the column-major D[:, idx].sum(axis=1) adds
             mean_to[rows, j] = np.cumsum(members, axis=1)[:, -1] / sizes[j]
             own = np.flatnonzero(inv[rows] == j)
             # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
             intra[rows.start + own] = np.ascontiguousarray(members[own]).sum(axis=1) / max(sizes[j] - 1, 1)
 
-    # serial: fancy indexing and cumsum hold the GIL; two threads took 171 -> 188 ms at n=4000 (93 -> 112 precomputed)
-    if precomputed:
-        _for_row_blocks(n, n, lambda rows: block_means(rows, D[rows]), 1)
-    else:
-        _sq_dist_blocks(D, D, lambda rows, block: block_means(rows, np.sqrt(block, out=block)), serial=True)
+    # only this walk runs on one thread: its fancy indexing and cumsum hold the GIL, and on two threads
+    # it took 171 -> 188 ms at n=4000 (93 -> 112 precomputed); the distances above follow the pool's size floor
+    _for_row_blocks(n, n, block_means, 1)
     mean_to[np.arange(n), inv] = np.inf
     outer = _row_reduce(np.minimum, mean_to).ravel()
     denom = np.maximum(intra, outer)

@@ -84,7 +84,11 @@ class ClusterModel:
         Z, saved = self.head(F)
         return self.head_backward(F, saved, softmax_backward(softmax(Z), dP))
 
-    # perfbench/tracing.py wraps these two by name on the class that defines them, so each subclass rebinds both
+    def __init_subclass__(cls):
+        # perfbench/tracing.py wraps these two by name on the class that defines them, so each subclass binds both
+        cls.logits = ClusterModel.logits
+        cls.backward_from_logits = ClusterModel.backward_from_logits
+
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.head(self.features(X))[0]
 
@@ -104,13 +108,12 @@ class ClusterModel:
     def _from_doc(cls, params: list, doc: dict) -> "ClusterModel":
         return cls(*params, *(doc[key] for key in cls.extra_keys))
 
+    def to_dict(self) -> dict:
+        """The model document: kind, params as nested lists, then the kind's extra keys."""
+        return {"kind": self.kind, "params": {k: v.tolist() for k, v in self.params.items()}, **self._extra_dict()}
+
     def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-        }
-        doc.update(self._extra_dict())
-        return json.dumps(doc)
+        return json.dumps(self.to_dict())
 
 
 class LinearModel(ClusterModel):
@@ -136,9 +139,6 @@ class LinearModel(ClusterModel):
     def head_backward(self, F, saved, dZ):
         return {self.weight_keys[0]: F.T @ dZ, "b": dZ.sum(axis=0)}
 
-    logits = ClusterModel.logits
-    backward_from_logits = ClusterModel.backward_from_logits
-
 
 class KernelModel(LinearModel):
     """Kernel RIM head: the linear head on the features kappa(X, X_ref), softmax(kappa A + b)."""
@@ -162,9 +162,6 @@ class KernelModel(LinearModel):
 
     def features(self, X):
         return gram(X, self.X_ref, self.spec).values
-
-    logits = ClusterModel.logits
-    backward_from_logits = ClusterModel.backward_from_logits
 
     def _extra_dict(self):
         return {"X_ref": self.X_ref.tolist(), "kernel": self.spec.to_dict()}
@@ -212,9 +209,6 @@ class MlpModel(ClusterModel):
             "b2": dZ.sum(axis=0),
         }
 
-    logits = ClusterModel.logits
-    backward_from_logits = ClusterModel.backward_from_logits
-
 
 def dataset_fingerprint(X: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes()).hexdigest()
@@ -249,9 +243,6 @@ class NonparametricModel(ClusterModel):
 
     def head_backward(self, F, saved, dZ):
         return {"L": dZ.copy()}
-
-    logits = ClusterModel.logits
-    backward_from_logits = ClusterModel.backward_from_logits
 
     def _extra_dict(self):
         return {"fingerprint": self.fingerprint}

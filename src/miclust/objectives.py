@@ -37,8 +37,8 @@ class ObjectiveValue:
 
 def _check_resp(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2:
-        raise ValueError("responsibilities must be an n x K matrix")
+    if P.ndim != 2 or P.shape[0] == 0:
+        raise ValueError(f"responsibilities must be an n x K matrix with n >= 1, got shape {P.shape}")
     return P
 
 

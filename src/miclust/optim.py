@@ -185,7 +185,7 @@ def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -
         opt.step(gradient())
     elapsed = time.perf_counter() - start
     labels = np.argmax(scores(), axis=1).tolist()
-    return FitReport(history, json.loads(model.to_json()), labels, config, elapsed)
+    return FitReport(history, model.to_dict(), labels, config, elapsed)
 
 
 def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:

@@ -77,6 +77,12 @@ def test_kernel_score_rejects_negative_labels(labels):
         kernel_kmeans_score(np.array(labels), np.eye(6))
 
 
+@pytest.mark.parametrize("G", [np.empty((0, 0)), np.eye(3)])
+def test_kernel_score_rejects_empty_labels(G):
+    with pytest.raises(ValueError, match="at least one labeled sample"):
+        kernel_kmeans_score([], G)
+
+
 def test_kernel_score_rejects_wrong_shape():
     with pytest.raises(ValueError):
         kernel_kmeans_score(np.array([0, 1]), np.eye(3))

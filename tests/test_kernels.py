@@ -61,6 +61,14 @@ def test_default_gamma_rejects_constant_data():
         default_gamma(np.ones((5, 2)))
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+def test_default_gamma_rejects_an_empty_matrix(shape):
+    with pytest.raises(ValueError, match=r"empty; cannot derive a default gamma"):
+        default_gamma(np.empty(shape))
+    with pytest.raises(ValueError, match=r"empty; cannot derive a default gamma"):
+        gram(np.empty(shape), np.empty(shape), KernelSpec("rbf"))
+
+
 def test_resolve_fills_gamma_and_is_idempotent():
     X = make_rng(3).normal(size=(10, 2))
     spec = KernelSpec("rbf").resolve(X)

@@ -100,6 +100,15 @@ def test_silhouette_validation():
         silhouette(np.zeros((3, 2)), [0, 1], precomputed=True)
 
 
+@pytest.mark.parametrize("rows, n_labels", [(10, 8), (8, 10)])
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows, n_labels, precomputed):
+    monkeypatch.setattr("miclust.metrics.pairwise_sq_dist", lambda *a: pytest.fail("distances built before the check"))
+    X = np.zeros((rows, rows if precomputed else 2))
+    with pytest.raises(ValueError, match=f"X has {rows} rows but there are {n_labels} labels"):
+        silhouette(X, np.arange(n_labels) % 2, precomputed=precomputed)
+
+
 def _silhouette_per_sample(D, labels):
     """The per-sample loop `silhouette` is vectorised from, kept as its oracle."""
     labels = np.asarray(labels, dtype=np.int64)

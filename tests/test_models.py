@@ -162,6 +162,17 @@ def test_load_model_rejects_non_finite_parameters(kind):
         load_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("kind", ["linear", "kernel", "mlp", "nonparametric"])
+def test_to_json_is_the_json_of_to_dict(kind):
+    X = make_rng(9).normal(size=(5, 2))
+    kwargs = {"X_ref": X} if kind == "kernel" else {"X": X} if kind == "nonparametric" else {}
+    model = init_model(kind, {"d": 2, "k": 2, "hidden": 3}, rng=0, **kwargs)
+    doc = model.to_dict()
+    assert json.dumps(doc) == model.to_json()
+    # plain Python values (numpy 2 reprs its scalars as np.float64(...)), so a fit report holds the document itself
+    assert repr(doc) == repr(json.loads(model.to_json()))
+
+
 def valid_doc(kind):
     X = make_rng(10).normal(size=(5, 2))
     kwargs = {"X_ref": X} if kind == "kernel" else {"X": X} if kind == "nonparametric" else {}

@@ -145,3 +145,13 @@ def test_zero_upstream_gradient_maps_to_zero():
 def test_rim_rejects_a_negative_or_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
         rim(np.full((3, 2), 0.5), {"W": np.ones((2, 2))}, lam)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [mi, proportions, fairness_firmness, lambda P: rim(P, {}, 0.1), lambda P: mmd_gemini_ova(P, np.empty((0, 0)))],
+    ids=["mi", "proportions", "fairness_firmness", "rim", "mmd_gemini_ova"],
+)
+def test_an_empty_responsibility_matrix_is_rejected(objective):
+    with pytest.raises(ValueError, match=r"n >= 1, got shape \(0, 2\)"):
+        objective(np.empty((0, 2)))

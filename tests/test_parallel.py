@@ -1,15 +1,16 @@
 """The O(n^2) layer on the kernel thread pool against its serial path, byte for byte.
 
 `kernels._map` runs whole calls on the pool: runs of row blocks of the
-distance epilogue of `gram` and `pairwise_sq_dist`, and one `G @ v` per
-MMD-GEMINI cluster. Here the worker count is set to 1, 2 and 3 and the size
-floor to 0, so that small inputs run on the pool, with uneven runs of blocks,
-a one-row last block and empty inputs. `silhouette` stays serial, and is
-compared here too.
+distance epilogue of `gram`, `pairwise_sq_dist` and the silhouette's distance
+build, and one `G @ v` per MMD-GEMINI cluster. Here the worker count is set to
+1, 2 and 3 and the size floor to 0, so that small inputs run on the pool, with
+uneven runs of blocks, a one-row last block and empty inputs. The silhouette's
+per-cluster walk over its distances stays on one thread.
 """
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import miclust as mc
-from miclust import KernelSpec, TrainConfig, gram, kernels, silhouette
+from miclust import KernelSpec, TrainConfig, gram, kernels, metrics, silhouette
 from miclust.kernels import pairwise_sq_dist
 from miclust.objectives import mmd_gemini_ova
 
@@ -157,14 +158,37 @@ def test_below_the_size_floor_no_pool_is_made(monkeypatch):
 
 
 def test_silhouette_keeps_its_block_means_off_the_pool(monkeypatch):
-    # its per-cluster means hold the GIL, so two threads made it slower, not faster
+    # its per-cluster means hold the GIL, so two threads made them slower; its distances are built as gram's are
     X, labels, _ = _data(801)
     D = np.sqrt(pairwise_sq_dist(X, X))
+    walks = []
+
+    def recorded(module):
+        walk = module._for_row_blocks
+
+        def record(n, m, body, workers):
+            walks.append((module.__name__, workers))
+            walk(n, m, body, workers)
+        return record
+
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(kernels, "_executor", lambda: pytest.fail("silhouette used the pool"))
+    monkeypatch.setattr(kernels, "_for_row_blocks", recorded(kernels))
+    monkeypatch.setattr(metrics, "_for_row_blocks", recorded(metrics))
+    gram(X, X, KernelSpec("rbf", 0.5))
+    assert walks == [("miclust.kernels", 2)]
     silhouette(X, labels)
+    assert walks[1:] == [("miclust.kernels", 2), ("miclust.metrics", 1)]
     silhouette(D, labels, precomputed=True)
+    assert walks[3:] == [("miclust.metrics", 1)]
+
+
+def test_importing_the_cli_loads_no_thread_pool_module():
+    # the pool's module costs each process a few ms, so only a computation that uses the pool imports it
+    code = "import sys, miclust.cli; sys.exit('concurrent.futures' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_the_pool_has_one_worker_per_core_of_the_affinity():
