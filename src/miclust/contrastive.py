@@ -129,7 +129,7 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     loss = -float(diag.sum())
     # d loss / d S_ij = T_ij * T_jj - delta_ij * T_jj, overwriting T
     T *= diag[None, :]
-    T[np.arange(Z.shape[0]), np.arange(Z.shape[0])] -= diag
+    T.ravel()[:: Z.shape[0] + 1] -= diag  # the diagonal through a strided view of the C-order buffer
     g = T @ Zah
     # back through the row normalization of Z
     return loss, (g - _row_reduce(np.add, g * Zh) * Zh) / norms

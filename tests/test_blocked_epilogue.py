@@ -1,9 +1,12 @@
 """The O(n^2) distance layer against the out-of-place formulas it replaced, across block edges.
 
 `pairwise_sq_dist`, the rbf `gram` and `silhouette` finish one gemm's result
-buffer in row blocks of `kernels._BLOCK_BYTES`. The block size is shrunk here
-so that small inputs reach every edge: a single block, a short last block,
-one row per block and clusters whose members straddle block edges.
+buffer in row blocks of `kernels._BLOCK_BYTES`, and the silhouette then walks
+its distances in row blocks of `metrics._WALK_BYTES`. Both sizes are shrunk
+here so that small inputs reach every edge: a single block, a short last
+block, a one-row last block, one row per block and clusters whose members
+straddle block edges. The kernel head's backward product is checked against
+the column-major product it replaced.
 """
 
 import tracemalloc
@@ -11,8 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from miclust import KernelSpec, gram, make_circles, silhouette, standardize
-from miclust import kernels
+from miclust import KernelSpec, gram, init_model, make_circles, silhouette, standardize
+from miclust import kernels, metrics
 from miclust.data import make_rng
 from miclust.kernels import pairwise_sq_dist
 
@@ -117,11 +120,14 @@ def _labelings():
     labels = gen.integers(0, 4, size=300)
     labels[:4] = [0, 1, 2, 3]
     yield pytest.param(X, labels, id="k4-n300")
+    # about 150 members per cluster, each cluster more than 128 members inside one block of the walk
+    yield pytest.param(X, gen.integers(0, 2, size=300), id="k2-n300")
 
 
-# 40 rows of n=101 (a short last block of 21), 3 rows (a last block of 2) and one row per block
-SILHOUETTE_BLOCKS = {"default": kernels._BLOCK_BYTES, "rows-of-40": 8 * 101 * 40, "rows-of-3": 8 * 101 * 3,
-                     "one-row": 16}
+# 40 rows of n=101 (a short last block of 21), 4 rows (a one-row last block), 3 rows (a last block of 2) and
+# one row per block, for the distance epilogue and the silhouette's walk alike
+SILHOUETTE_BLOCKS = {"default": None, "rows-of-40": 8 * 101 * 40, "rows-of-4": 8 * 101 * 4,
+                     "rows-of-3": 8 * 101 * 3, "one-row": 16}
 
 
 @pytest.mark.parametrize("block", list(SILHOUETTE_BLOCKS.values()), ids=list(SILHOUETTE_BLOCKS))
@@ -129,12 +135,15 @@ SILHOUETTE_BLOCKS = {"default": kernels._BLOCK_BYTES, "rows-of-40": 8 * 101 * 40
 def test_silhouette_is_the_out_of_place_formula_at_every_block_size(X, labels, block, monkeypatch):
     D = np.sqrt(_sq_dist_out_of_place(X, X))
     expected_mean, expected = _silhouette_out_of_place(D, labels)
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(metrics, "_WALK_BYTES", block)
     mean, scores = silhouette(X, labels)
     assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
     # precomputed, in every layout: C order, Fortran order, and strided views of a larger buffer
     gen = make_rng(13)
     D = D + gen.uniform(0.0, 1e-3, size=D.shape)  # not symmetric, so a transposed read would show
+    D[gen.uniform(size=D.shape) < 0.1] = -0.0  # signed zeros; the test below checks the signs of their means
     expected_mean, expected = _silhouette_out_of_place(D, labels)
     n = labels.size
     big = np.zeros((2 * n, 3 * n))
@@ -142,6 +151,25 @@ def test_silhouette_is_the_out_of_place_formula_at_every_block_size(X, labels, b
     for layout in (D, np.asfortranarray(D), big[::2, ::3], np.asfortranarray(big)[::2, ::3]):
         mean, scores = silhouette(layout, labels, precomputed=True)
         assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
+
+
+@pytest.mark.parametrize("block", list(SILHOUETTE_BLOCKS.values()), ids=list(SILHOUETTE_BLOCKS))
+@pytest.mark.parametrize("X,labels", list(_labelings()))
+def test_silhouette_means_are_running_sums_in_member_order(X, labels, block, monkeypatch):
+    # the sign of a zero mean never reaches a score, so the means are read where they meet the minimum
+    _, inv = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(inv)
+    D = np.sqrt(_sq_dist_out_of_place(X, X))
+    D[make_rng(17).uniform(size=D.shape) < 0.3] = -0.0
+    D[:, inv == sizes.argmin()] = -0.0  # every row's sum over the smallest cluster is -0.0
+    expected = np.column_stack([np.cumsum(D[:, inv == j], axis=1)[:, -1] / sizes[j] for j in range(sizes.size)])
+    expected[np.arange(labels.size), inv] = np.inf
+    seen = []
+    monkeypatch.setattr(metrics, "_row_reduce", lambda ufunc, A: seen.append(A.copy()) or kernels._row_reduce(ufunc, A))
+    if block is not None:
+        monkeypatch.setattr(metrics, "_WALK_BYTES", block)
+    silhouette(D, labels, precomputed=True)
+    assert len(seen) == 1 and _same_bytes(seen[0], expected)
 
 
 N_PEAK = 2000
@@ -172,3 +200,22 @@ def test_one_n_by_n_buffer_per_build(name, circles_2000):
     }[name]
     call()  # first-call allocations stay out of the measured peak
     assert _peak_in_n2_doubles(call) < 1.2
+
+
+def _head_cases():
+    gen = make_rng(14)
+    for n in (1, 2, 200, 801, 1023):
+        X = gen.normal(size=(n, 2))
+        yield pytest.param("linear", X, X, id=f"linear-n{n}")
+        yield pytest.param("kernel", X, gram(X, X, KernelSpec("rbf")).values, id=f"kernel-n{n}")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind,X,F", list(_head_cases()))
+def test_head_backward_is_the_column_major_product(kind, X, F, k):
+    # the weight gradient reads F row-major, as (dZ^T F)^T; F^T dZ, which reads it column-major, is the oracle
+    model = init_model(kind, {"d": 2, "k": k}, rng=15, X_ref=X)
+    dZ = make_rng(16).normal(size=(len(X), k))
+    grads = model.head_backward(F, model.head(F)[1], dZ)
+    assert _same_bytes(np.ascontiguousarray(grads[model.weight_keys[0]]), F.T @ dZ)
+    assert _same_bytes(grads["b"], dZ.sum(axis=0))

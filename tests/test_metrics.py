@@ -103,10 +103,40 @@ def test_silhouette_validation():
 @pytest.mark.parametrize("rows, n_labels", [(10, 8), (8, 10)])
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows, n_labels, precomputed):
-    monkeypatch.setattr("miclust.metrics.pairwise_sq_dist", lambda *a: pytest.fail("distances built before the check"))
+    monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
     X = np.zeros((rows, rows if precomputed else 2))
     with pytest.raises(ValueError, match=f"X has {rows} rows but there are {n_labels} labels"):
         silhouette(X, np.arange(n_labels) % 2, precomputed=precomputed)
+
+
+
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_silhouette_rejects_an_input_that_is_not_2d(monkeypatch, precomputed):
+    monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
+    for X in (np.zeros(4), np.zeros((4, 4, 1))):
+        with pytest.raises(ValueError, match=r"X must be 2-d, got shape"):
+            silhouette(X, [0, 0, 1, 1], precomputed=precomputed)
+
+
+def _non_finite_inputs():
+    X = np.arange(8.0).reshape(4, 2)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = X.copy()
+        bad[0, 0] = value
+        yield pytest.param(bad, False, id=f"X-{value}")
+    D = np.sqrt(pairwise_sq_dist(X, X))
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 3)):  # an own-cluster self-distance, and one to the other cluster
+            bad = D.copy()
+            bad[i, j] = value
+            yield pytest.param(bad, True, id=f"D{i}{j}-{value}")
+
+
+@pytest.mark.parametrize("X,precomputed", list(_non_finite_inputs()))
+def test_silhouette_rejects_non_finite_data_or_distances(X, precomputed):
+    # it used to score them 0: every NaN score fell to the denom > 0 guard
+    with pytest.raises(ValueError, match="needs finite"):
+        silhouette(X, [0, 0, 1, 1], precomputed=precomputed)
 
 
 def _silhouette_per_sample(D, labels):

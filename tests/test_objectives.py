@@ -155,3 +155,14 @@ def test_rim_rejects_a_negative_or_non_finite_lambda(lam):
 def test_an_empty_responsibility_matrix_is_rejected(objective):
     with pytest.raises(ValueError, match=r"n >= 1, got shape \(0, 2\)"):
         objective(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [mi, proportions, fairness_firmness, lambda P: rim(P, {}, 0.1), lambda P: mmd_gemini_ova(P, np.eye(3))],
+    ids=["mi", "proportions", "fairness_firmness", "rim", "mmd_gemini_ova"],
+)
+def test_a_responsibility_matrix_with_no_clusters_is_rejected(objective):
+    # mi(np.empty((3, 0))) returned 0.0 with an empty gradient
+    with pytest.raises(ValueError, match=r"K >= 1 and n >= 1, got shape \(3, 0\)"):
+        objective(np.empty((3, 0)))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import miclust as mc
-from miclust import KernelSpec, TrainConfig, gram, kernels, metrics, silhouette
+from miclust import KernelSpec, TrainConfig, gram, kernels, silhouette
 from miclust.kernels import pairwise_sq_dist
 from miclust.objectives import mmd_gemini_ova
 
@@ -158,29 +158,27 @@ def test_below_the_size_floor_no_pool_is_made(monkeypatch):
 
 
 def test_silhouette_keeps_its_block_means_off_the_pool(monkeypatch):
-    # its per-cluster means hold the GIL, so two threads made them slower; its distances are built as gram's are
+    # its per-cluster means hold the GIL, so two threads gained little; its distances are built as gram's are
     X, labels, _ = _data(801)
     D = np.sqrt(pairwise_sq_dist(X, X))
     walks = []
+    walk = kernels._for_row_blocks
 
-    def recorded(module):
-        walk = module._for_row_blocks
-
-        def record(n, m, body, workers):
-            walks.append((module.__name__, workers))
-            walk(n, m, body, workers)
-        return record
+    def record(n, m, body, workers):
+        walks.append(workers)
+        walk(n, m, body, workers)
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(kernels, "_for_row_blocks", recorded(kernels))
-    monkeypatch.setattr(metrics, "_for_row_blocks", recorded(metrics))
+    monkeypatch.setattr(kernels, "_for_row_blocks", record)
     gram(X, X, KernelSpec("rbf", 0.5))
-    assert walks == [("miclust.kernels", 2)]
+    assert walks == [2]
     silhouette(X, labels)
-    assert walks[1:] == [("miclust.kernels", 2), ("miclust.metrics", 1)]
+    assert walks[1:] == [2]  # the distance epilogue, its sqrt included, and no other row-block walk
+    # the per-cluster walk alone, with no pool to run on
+    monkeypatch.setattr(kernels, "_executor", lambda: pytest.fail("the silhouette's walk used the pool"))
     silhouette(D, labels, precomputed=True)
-    assert walks[3:] == [("miclust.metrics", 1)]
+    assert walks[2:] == []
 
 
 def test_importing_the_cli_loads_no_thread_pool_module():
