@@ -56,8 +56,8 @@ def silhouette(X, labels, precomputed: bool = False):
     X is either an n x d data matrix (Euclidean distance) or, with
     precomputed=True, an n x n distance matrix, so kernel-induced distances
     can be scored directly. Samples in singleton clusters score 0, as do
-    samples where both Intra and Outer vanish. Non-finite data or distances
-    raise ValueError.
+    samples where both Intra and Outer vanish. Non-finite data or
+    distances, and sums of distances that overflow float64, raise ValueError.
     """
     labels = np.asarray(labels, dtype=np.int64)
     D = np.asarray(X, dtype=np.float64)
@@ -68,8 +68,12 @@ def silhouette(X, labels, precomputed: bool = False):
         raise ValueError(f"X has {len(D)} rows but there are {n} labels")
     if precomputed and D.shape != (n, n):
         raise ValueError("precomputed distance matrix must be n x n")
-    if not precomputed and not np.isfinite(D).all():
-        raise ValueError("silhouette needs finite data")
+    if not precomputed:
+        # each term of the norm expansion is at most 4 max ||x||^2; twice that finite leaves room for rounding, so
+        # an X that passes builds its distances without a floating-point warning on any thread
+        with np.errstate(over="ignore"):
+            if not np.isfinite(8.0 * (D * D).sum(axis=1)).all():
+                raise ValueError("silhouette needs finite data whose squared distances fit in float64")
     uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
@@ -82,21 +86,26 @@ def silhouette(X, labels, precomputed: bool = False):
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
     step = max(1, _WALK_BYTES // (8 * n))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        block = D[rows].T
-        for j, idx in enumerate(members_of):
-            members = block[idx]  # |C| x rows in C order, whatever D's layout
-            # member rows added in member order from -0.0, each sum as cumsum(D[i, idx])[-1] runs it; numpy would
-            # sum a one-row block pairwise, so that one takes the cumsum itself
-            sums = np.add.reduce(members, axis=0, initial=-0.0) if members.shape[1] > 1 else np.cumsum(members)[-1:]
-            mean_to[rows, j] = sums / sizes[j]
-            own = np.flatnonzero(inv[rows] == j)
-            # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
-            intra[lo + own] = np.ascontiguousarray(members[:, own].T).sum(axis=1) / max(sizes[j] - 1, 1)
-    # a NaN or inf anywhere in D reaches its row's mean to that entry's cluster, so the n x K means are checked, not D
+    # a sum that overflows or meets a NaN or inf of D is caught from the means below, so numpy does not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            block = D[rows].T
+            for j, idx in enumerate(members_of):
+                members = block[idx]  # |C| x rows in C order, whatever D's layout
+                # member rows added in member order from -0.0, each sum as cumsum(D[i, idx])[-1] runs it; numpy
+                # would sum a one-row block pairwise, so that one takes the cumsum itself
+                if members.shape[1] > 1:
+                    sums = np.add.reduce(members, axis=0, initial=-0.0)
+                else:
+                    sums = np.cumsum(members)[-1:]
+                mean_to[rows, j] = sums / sizes[j]
+                own = np.flatnonzero(inv[rows] == j)
+                # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
+                intra[lo + own] = np.ascontiguousarray(members[:, own].T).sum(axis=1) / max(sizes[j] - 1, 1)
+    # a NaN or inf anywhere in D reaches its row's mean to that entry's cluster, so the O(nK) sums are checked, not D
     if not np.isfinite(mean_to).all():
-        raise ValueError("silhouette needs finite distances")
+        raise ValueError("silhouette needs finite distances whose per-cluster sums do not overflow")
     mean_to[np.arange(n), inv] = np.inf
     outer = _row_reduce(np.minimum, mean_to).ravel()
     denom = np.maximum(intra, outer)

@@ -139,6 +139,30 @@ def test_silhouette_rejects_non_finite_data_or_distances(X, precomputed):
         silhouette(X, [0, 0, 1, 1], precomputed=precomputed)
 
 
+def test_silhouette_rejects_finite_data_whose_squared_distances_overflow():
+    # an entry of 1e200 made the distance gemm warn of overflow, which this suite's warnings-as-errors raised
+    X = np.arange(8.0).reshape(4, 2)
+    X[0, 0] = 1e200
+    with pytest.raises(ValueError, match="squared distances fit in float64"):
+        silhouette(X, [0, 0, 1, 1])
+
+
+def test_silhouette_scores_the_largest_data_it_accepts_without_a_warning():
+    # 2.5e153 in each of 2 columns: 8 * the largest squared norm is 1e308, just finite
+    X = np.array([[2.5e153, -2.5e153], [-2.5e153, 2.5e153], [2.5e153, 2.5e153], [0.0, 0.0]])
+    mean, scores = silhouette(X, [0, 0, 1, 1])  # any floating-point warning would raise here
+    assert np.isfinite(mean) and np.isfinite(scores).all()
+
+
+def test_silhouette_rejects_finite_distances_whose_sums_overflow():
+    # every entry is finite; only the sum over a cluster's members passes the largest float64
+    D = np.full((4, 4), 1e308)
+    np.fill_diagonal(D, 0.0)
+    D[0, 1] = D[1, 0] = 1.0
+    with pytest.raises(ValueError, match="per-cluster sums do not overflow"):
+        silhouette(D, [0, 0, 0, 1], precomputed=True)
+
+
 def _silhouette_per_sample(D, labels):
     """The per-sample loop `silhouette` is vectorised from, kept as its oracle."""
     labels = np.asarray(labels, dtype=np.int64)
