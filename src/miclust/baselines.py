@@ -8,6 +8,7 @@ import numpy as np
 from miclust.data import make_rng
 from miclust.errors import NumericError
 from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
+from miclust.metrics import _int_labels
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
@@ -76,7 +77,7 @@ def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
     Returns -sum_k (sum_{i,j in C_k} G_ij) / |C_k|; lower is better when
     minimized as written in centroid form.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int_labels(labels)
     G = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("kernel K-means score needs at least one labeled sample")

@@ -113,10 +113,13 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     Z_aug = np.asarray(Z_aug, dtype=np.float64)
     if Z.shape != Z_aug.shape:
         raise ValueError(f"shape mismatch: {Z.shape} vs {Z_aug.shape}")
-    # l2 row norms, the sqrt of summed squares that np.linalg.norm(axis=1) computes
-    norms = np.sqrt(_row_reduce(np.add, Z * Z))
-    norms_aug = np.sqrt(_row_reduce(np.add, Z_aug * Z_aug))
-    if np.any(norms == 0) or np.any(norms_aug == 0):
+    # l2 row norms as np.linalg.norm(axis=1) computes them; a square that overflows makes its norm inf, raised below
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_row_reduce(np.add, Z * Z))
+        norms_aug = np.sqrt(_row_reduce(np.add, Z_aug * Z_aug))
+    if not (norms.max() < np.inf and norms_aug.max() < np.inf):  # a NaN fails the comparison too
+        raise ValueError("representation row whose norm is not finite; cosine similarity undefined")
+    if not (norms.min() > 0 and norms_aug.min() > 0):
         raise ValueError("zero-norm representation row; cosine similarity undefined")
     Zh = Z / norms
     Zah = Z_aug / norms_aug

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from miclust.metrics import _int_labels
+
 
 def make_rng(seed) -> np.random.Generator:
     """Return a PCG64 generator; ints are seeds, generators pass through."""
@@ -38,7 +40,7 @@ class DataMatrix:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _int_labels(self.labels)
             if self.labels.shape != (self.values.shape[0],):
                 raise ValueError(
                     f"labels length {self.labels.shape} does not match n={self.values.shape[0]}"

@@ -63,7 +63,10 @@ def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
     return out[:, None]
 
 
-_BLOCK_BYTES = 1 << 18  # per row block of the distance epilogue: about 256 KB, so each block's passes run in cache
+# per row block of every O(n^2) pass: 32 rows at n=4000, where against 256 KB (2 vCPU, 1 BLAS thread, medians of 15
+# reps) the epilogues of an rbf gram and a pairwise_sq_dist took 145-169 against 150-153 ms, the silhouette's walk 49
+# against 113 ms
+_BLOCK_BYTES = 1 << 20
 # From this much matrix up, work runs on the pool. Two gemv calls on one BLAS thread, serial against two threads:
 # n=500 (1.9 MB) 107 against 193 us, n=700 (3.7 MB) 339 against 248 us, n=1000 647 against 365 us.
 _PARALLEL_BYTES = 1 << 22
@@ -101,13 +104,18 @@ def _for_row_blocks(n: int, m: int, body, workers: int) -> None:
     _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, workers)
 
 
+def _matrices(X, Y) -> tuple:
+    """X and Y as matrices in C order whatever the layout given, so the bits depend on the values alone (BLAS sums
+    by layout)."""
+    X, Y = np.ascontiguousarray(X, dtype=np.float64), np.ascontiguousarray(Y, dtype=np.float64)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise ValueError(f"need two 2-d sample matrices of equal dimension, got shapes {X.shape} and {Y.shape}")
+    return X, Y
+
+
 def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
     """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
-    # C order whatever the layout given, so the bits depend on the values alone (BLAS sums by layout)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = _matrices(X, Y)
     out = np.matmul(2.0 * X, Y.T)
     xx, yy = _row_reduce(np.add, X * X).ravel(), _row_reduce(np.add, Y * Y).ravel()
 
@@ -127,10 +135,7 @@ def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
     """Gram matrix of the kernel between two sample sets; its bits depend on their values and spec alone."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = _matrices(X, Y)
     spec = spec.resolve(X)
     if spec.kind == "linear":
         # X @ X.T runs BLAS syrk and X @ Y.T gemm, which differ in the last bit: an equal Y takes X's path

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import _row_reduce, _sq_dist_blocks
+from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks, _workers
 
-# per row block of the silhouette's walk: 32 rows at n=4000, where its walk took 38 ms (78 ms at 256 KB, 8 rows)
-_WALK_BYTES = 1 << 20
+
+def _int_labels(labels) -> np.ndarray:
+    """A labeling as 1-d int64; a value that the cast would change, such as 0.5 or NaN, raises ValueError."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN or an out-of-range value casts to garbage, caught below
+        out = raw.astype(np.int64, copy=False)
+    if raw.ndim != 1 or not (out == raw).all():
+        raise ValueError(f"labels must be 1-d integers, got {raw.dtype} of shape {raw.shape}")
+    return out
 
 
 def contingency(a, b) -> np.ndarray:
     """Count matrix between two labelings over the same samples."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1:
+    a, b = _int_labels(a), _int_labels(b)
+    if a.shape != b.shape:
         raise ValueError("labelings must be 1-d and of equal length")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
@@ -59,7 +65,7 @@ def silhouette(X, labels, precomputed: bool = False):
     samples where both Intra and Outer vanish. Non-finite data or
     distances, and sums of distances that overflow float64, raise ValueError.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int_labels(labels)
     D = np.asarray(X, dtype=np.float64)
     n = labels.size
     if D.ndim != 2:
@@ -81,16 +87,15 @@ def silhouette(X, labels, precomputed: bool = False):
     members_of = [np.flatnonzero(inv == j) for j in range(uniq.size)]
     if not precomputed:
         D = _sq_dist_blocks(D, D, lambda rows, block: np.sqrt(block, out=block))
-    # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D, on one
-    # thread: its gathers hold the GIL
+    # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
-    step = max(1, _WALK_BYTES // (8 * n))
-    # a sum that overflows or meets a NaN or inf of D is caught from the means below, so numpy does not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            block = D[rows].T
+
+    def walk(rows):
+        block = D[rows].T
+        # numpy's error state belongs to each thread, so each block sets it: a sum that overflows or meets a NaN or
+        # inf then raises from the means below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
             for j, idx in enumerate(members_of):
                 members = block[idx]  # |C| x rows in C order, whatever D's layout
                 # member rows added in member order from -0.0, each sum as cumsum(D[i, idx])[-1] runs it; numpy
@@ -102,7 +107,9 @@ def silhouette(X, labels, precomputed: bool = False):
                 mean_to[rows, j] = sums / sizes[j]
                 own = np.flatnonzero(inv[rows] == j)
                 # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
-                intra[lo + own] = np.ascontiguousarray(members[:, own].T).sum(axis=1) / max(sizes[j] - 1, 1)
+                intra[rows.start + own] = np.ascontiguousarray(members[:, own].T).sum(axis=1) / max(sizes[j] - 1, 1)
+
+    _for_row_blocks(n, n, walk, _workers(D.nbytes))
     # a NaN or inf anywhere in D reaches its row's mean to that entry's cluster, so the O(nK) sums are checked, not D
     if not np.isfinite(mean_to).all():
         raise ValueError("silhouette needs finite distances whose per-cluster sums do not overflow")

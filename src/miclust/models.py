@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -40,8 +41,8 @@ def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
 
 def _checked_input(X, d: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != d:
-        raise ValueError(f"input dimension {X.shape[1]} does not match model d={d}")
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"input of shape {X.shape} is not n x d: its dimension does not match model d={d}")
     return X
 
 
@@ -230,11 +231,13 @@ class NonparametricModel(ClusterModel):
         if self.L.ndim != 2:
             raise ValueError("L must be n x K")
         _check_finite(self.L)
+        if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
+            raise ValueError(f"fingerprint must be the 64 hex digits dataset_fingerprint writes, got {fingerprint!r}")
         self.fingerprint = fingerprint
 
     def features(self, X):
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] != self.L.shape[0] or dataset_fingerprint(X) != self.fingerprint:
+        if X.ndim != 2 or X.shape[0] != self.L.shape[0] or dataset_fingerprint(X) != self.fingerprint:
             raise ValueError("nonparametric model does not generalise: X is not the bound training set")
         return X
 
@@ -264,8 +267,14 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(MODEL_KINDS)}")
+
+    def need(source: dict, key: str):
+        if key not in source:
+            raise ValueError(f"a {kind} model needs {key!r} {'in dims' if source is dims else 'as a keyword argument'}")
+        return source[key]
+
     gen = make_rng(rng)
-    K = dims["k"]
+    K = need(dims, "k")
     if K < 1:
         raise ValueError(f"k must be >= 1, got {K}")
 
@@ -276,10 +285,10 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         return gen.normal(0.0, 1.0, size=shape) * s
 
     if kind == "linear":
-        d = dims["d"]
+        d = need(dims, "d")
         return LinearModel(draw((d, K), d), np.zeros(K))
     if kind == "kernel":
-        X_ref = np.asarray(kwargs["X_ref"], dtype=np.float64)
+        X_ref = np.asarray(need(kwargs, "X_ref"), dtype=np.float64)
         spec = kwargs.get("spec") or KernelSpec("rbf")
         n_ref = X_ref.shape[0]
         # kernel features are O(1) each and there are n_ref of them, so the
@@ -288,11 +297,11 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         # default scale is 1/n_ref, i.e. a fan-in of n_ref**2
         return KernelModel(draw((n_ref, K), n_ref**2), np.zeros(K), X_ref, spec)
     if kind == "mlp":
-        d, H = dims["d"], dims.get("hidden", 20)
+        d, H = need(dims, "d"), dims.get("hidden", 20)
         if H < 1:
             raise ValueError(f"hidden width must be >= 1, got {H}")
         return MlpModel(draw((d, H), d), np.zeros(H), draw((H, K), H), np.zeros(K))
-    X = np.asarray(kwargs["X"], dtype=np.float64)  # nonparametric, the one kind left
+    X = np.asarray(need(kwargs, "X"), dtype=np.float64)  # nonparametric, the one kind left
     return NonparametricModel(draw((X.shape[0], K), 1), dataset_fingerprint(X))
 
 

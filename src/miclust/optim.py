@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -38,8 +39,9 @@ class TrainConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got {type(self.epochs).__name__} {self.epochs!r}")
+        self.epochs = int(self.epochs)  # a numpy integer would not serialize into the report
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):

@@ -172,3 +172,14 @@ def test_lloyd_computes_one_distance_matrix_per_step(monkeypatch, K):
         calls[0] = 0
         _, _, _, history = _lloyd(X, centers, 300, 0.0)
         assert calls[0] == len(history) + 1  # the first assignment's matrix, then one per step
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2], [0.0, np.nan], [[0, 1]]], ids=["fractions", "nan", "2d"])
+def test_kernel_kmeans_score_rejects_labels_a_cast_would_change(labels):
+    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+        kernel_kmeans_score(labels, np.eye(2))
+
+
+def test_kernel_kmeans_score_takes_integral_float_labels():
+    G = gram(make_rng(4).normal(size=(4, 2)), make_rng(4).normal(size=(4, 2)), KernelSpec("linear"))
+    assert kernel_kmeans_score([0.0, 1.0, 1.0, 0.0], G) == kernel_kmeans_score([0, 1, 1, 0], G)

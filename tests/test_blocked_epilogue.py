@@ -2,10 +2,10 @@
 
 `pairwise_sq_dist`, the rbf `gram` and `silhouette` finish one gemm's result
 buffer in row blocks of `kernels._BLOCK_BYTES`, and the silhouette then walks
-its distances in row blocks of `metrics._WALK_BYTES`. Both sizes are shrunk
-here so that small inputs reach every edge: a single block, a short last
-block, a one-row last block, one row per block and clusters whose members
-straddle block edges. The linear and kernel heads' weight gradient is pinned
+its distances in row blocks of the same size. That size is shrunk here so
+that small inputs reach every edge: a single block, a short last block, a
+one-row last block, one row per block and clusters whose members straddle
+block edges. The linear and kernel heads' weight gradient is pinned
 to the column-major product `F^T dZ`, whose bits a row-major `(dZ^T F)^T`
 does not keep at every K.
 """
@@ -138,7 +138,6 @@ def test_silhouette_is_the_out_of_place_formula_at_every_block_size(X, labels, b
     expected_mean, expected = _silhouette_out_of_place(D, labels)
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
-        monkeypatch.setattr(metrics, "_WALK_BYTES", block)
     mean, scores = silhouette(X, labels)
     assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
     # precomputed, in every layout: C order, Fortran order, and strided views of a larger buffer
@@ -168,7 +167,7 @@ def test_silhouette_means_are_running_sums_in_member_order(X, labels, block, mon
     seen = []
     monkeypatch.setattr(metrics, "_row_reduce", lambda ufunc, A: seen.append(A.copy()) or kernels._row_reduce(ufunc, A))
     if block is not None:
-        monkeypatch.setattr(metrics, "_WALK_BYTES", block)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
     silhouette(D, labels, precomputed=True)
     assert len(seen) == 1 and _same_bytes(seen[0], expected)
 

@@ -595,3 +595,16 @@ def test_help_text_is_unchanged(command, capsys):
     expected = capsys.readouterr().out
     assert main([*command, "--help"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_contrastive_with_noise_whose_squares_overflow_exits_2_without_a_report(tmp_path, circles_csv):
+    # a noisy view with finite entries whose squares overflow has no cosine similarity
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["contrastive", "--data", str(circles_csv), "--aug", "noise:1e200", "--out-dir", str(tmp_path / "con")]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "miclust.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+    assert "norm is not finite" in proc.stderr
+    assert not (tmp_path / "con" / "report.json").exists()

@@ -221,3 +221,21 @@ def test_parse_augmentation_inverts_describe(aug):
 def test_parse_augmentation_rejects_a_bad_spec(text):
     with pytest.raises(ValueError, match=r"bad augmentation spec .*; expected noise:SIGMA or rotation:LO:HI"):
         parse_augmentation(text)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan], ids=["squares-overflow", "inf", "nan"])
+@pytest.mark.parametrize("branch", ["clean", "augmented"])
+def test_info_nce_rejects_a_row_whose_norm_is_not_finite_without_a_warning(value, branch):
+    Z = make_rng(21).normal(size=(6, 2))
+    bad = Z.copy()
+    bad[3, 1] = value
+    args = (bad, Z) if branch == "clean" else (Z, bad)
+    with pytest.raises(ValueError, match="norm is not finite"):  # the suite turns a numpy warning into an error
+        info_nce_loss(*args)
+
+
+def test_info_nce_rejects_a_zero_row():
+    Z = make_rng(22).normal(size=(4, 3))
+    for args in ((np.vstack([Z[:3], np.zeros(3)]), Z), (Z, np.vstack([np.zeros(3), Z[1:]]))):
+        with pytest.raises(ValueError, match="zero-norm"):
+            info_nce_loss(*args)

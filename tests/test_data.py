@@ -145,3 +145,14 @@ def test_save_csv_matches_the_row_loop_byte_for_byte(tmp_path, dm, labelled):
 def test_write_csv_writes_the_header_then_the_rows(tmp_path):
     write_csv(tmp_path / "t.csv", ["a", "b"], iter([(0, "x"), (1, "y,z")]))
     assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n0,x\r\n1,"y,z"\r\n'
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.5], [0.0, np.nan], [[0], [1]]], ids=["fractions", "nan", "2d"])
+def test_labels_a_cast_would_change_are_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+        DataMatrix(np.zeros((2, 2)), labels)
+
+
+def test_integral_float_labels_are_kept_as_integers():
+    dm = DataMatrix(np.zeros((2, 2)), [1.0, 0.0])
+    assert dm.labels.dtype == np.int64 and dm.labels.tolist() == [1, 0]

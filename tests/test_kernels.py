@@ -175,3 +175,12 @@ def test_kernel_layer_depends_on_values_not_layout(seed, shape):
         # an equal copy in another layout against the C array: the case of a kernel head's X_ref in `fit`
         assert _kernel_outputs(Y, X) == expected, layout
         assert _kernel_outputs(X, Y) == expected, layout
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((3,), (3, 1)), ((3, 1), (3,)), ((2, 2, 1), (2, 2))], ids=str)
+def test_an_input_that_is_not_a_matrix_is_rejected_by_its_shape(shapes):
+    X, Y = np.zeros(shapes[0]), np.zeros(shapes[1])
+    for build in (pairwise_sq_dist, lambda X, Y: gram(X, Y, KernelSpec("rbf", 1.0)),
+                  lambda X, Y: gram(X, Y, KernelSpec("linear"))):
+        with pytest.raises(ValueError, match=r"2-d sample matrices of equal dimension, got shapes"):
+            build(X, Y)

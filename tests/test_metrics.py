@@ -214,3 +214,30 @@ def test_silhouette_matches_per_sample_oracle_bit_for_bit(X, labels):
     assert repr(mean) == repr(oracle_mean)
     via_matrix = silhouette(D, labels, precomputed=True)
     assert np.array_equal(via_matrix[1], oracle_scores)
+
+
+NOT_INTEGER_LABELS = {"halves": [0.5, 1.5], "nan": [0.0, np.nan], "huge": [0.0, 1e30], "strings": ["0", "1"]}
+
+
+@pytest.mark.parametrize("labels", NOT_INTEGER_LABELS.values(), ids=NOT_INTEGER_LABELS)
+def test_labels_that_a_cast_would_change_are_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+        ari(labels, [0, 1])
+    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+        ari([0, 1], labels)
+    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+        silhouette(np.eye(2), labels)
+
+
+def test_integral_labels_of_any_dtype_are_accepted():
+    assert ari([0.0, 1.0, 1.0], np.array([1, 0, 0], dtype=np.uint8)) == 1.0
+    assert ari([True, False, False], [2, 5, 5]) == 1.0
+    X = make_rng(3).normal(size=(6, 2))
+    assert silhouette(X, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])[0] == silhouette(X, [0, 0, 0, 1, 1, 1])[0]
+
+
+def test_labels_that_are_not_1d_are_rejected():
+    with pytest.raises(ValueError, match=r"labels must be 1-d integers, got int64 of shape \(1, 2\)"):
+        silhouette(np.zeros((2, 2)), [[0, 1]])
+    with pytest.raises(ValueError, match=r"labels must be 1-d integers, got int64 of shape \(2, 1\)"):
+        contingency([[0], [1]], [0, 1])

@@ -202,6 +202,12 @@ MALFORMED_DOCS = {
     "gamma-not-number": lambda: dict(valid_doc("kernel"), kernel={"kind": "rbf", "gamma": "wide"}),
     "kernel-without-kind": lambda: dict(valid_doc("kernel"), kernel={"gamma": 1.0}),
     "missing-fingerprint": lambda: without(valid_doc("nonparametric"), "fingerprint"),
+    "fingerprint-number": lambda: dict(valid_doc("nonparametric"), fingerprint=5),
+    "fingerprint-list": lambda: dict(valid_doc("nonparametric"), fingerprint=[1, 2]),
+    "fingerprint-null": lambda: dict(valid_doc("nonparametric"), fingerprint=None),
+    "fingerprint-short": lambda: dict(valid_doc("nonparametric"), fingerprint="ab" * 31),
+    "fingerprint-not-hex": lambda: dict(valid_doc("nonparametric"), fingerprint="g" * 64),
+    "fingerprint-upper-case": lambda: dict(valid_doc("nonparametric"), fingerprint="AB" * 32),
 }
 
 
@@ -260,3 +266,41 @@ def test_n_clusters_is_the_old_per_class_value(kind, k):
 
 def test_n_clusters_of_the_contrastive_critic():
     assert init_critic(2, 5, 4, rng=0).n_clusters == 4
+
+
+def test_a_fingerprint_round_trips_only_as_the_hex_digest_it_is():
+    X = make_rng(12).normal(size=(5, 2))
+    model = init_model("nonparametric", {"k": 2}, X=X)
+    assert load_model(model.to_json()).fingerprint == model.fingerprint == dataset_fingerprint(X)
+    with pytest.raises(ValueError, match="64 hex digits"):
+        NonparametricModel(model.L, 5)
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel", "mlp"])
+@pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)], ids=str)
+def test_an_input_that_is_not_a_matrix_is_rejected_by_its_shape(kind, shape):
+    X = make_rng(13).normal(size=(6, 2))
+    model = init_model(kind, {"d": 2, "k": 2}, X_ref=X)
+    bad = np.zeros(shape)
+    for call in (model.forward, model.logits, model.features):
+        with pytest.raises(ValueError, match="shape"):
+            call(bad)
+
+
+def test_a_nonparametric_model_rejects_the_raveled_training_set():
+    X = make_rng(14).normal(size=(5, 1))
+    model = init_model("nonparametric", {"k": 2}, X=X)
+    with pytest.raises(ValueError, match="not the bound training set"):
+        model.logits(X.ravel())  # the same bytes and row count, but not an n x d matrix
+
+
+@pytest.mark.parametrize("kind,dims,missing", [
+    ("linear", {"k": 2}, "'d' in dims"),
+    ("mlp", {"k": 2}, "'d' in dims"),
+    ("linear", {"d": 2}, "'k' in dims"),
+    ("kernel", {"k": 2}, "'X_ref' as a keyword argument"),
+    ("nonparametric", {"k": 2}, "'X' as a keyword argument"),
+], ids=["linear-d", "mlp-d", "linear-k", "kernel-X_ref", "nonparametric-X"])
+def test_init_model_names_what_it_lacks(kind, dims, missing):
+    with pytest.raises(ValueError, match=f"a {kind} model needs {missing}"):
+        init_model(kind, dims)

@@ -2,10 +2,12 @@
 
 `kernels._map` runs whole calls on the pool: runs of row blocks of the
 distance epilogue of `gram`, `pairwise_sq_dist` and the silhouette's distance
-build, and one `G @ v` per MMD-GEMINI cluster. Here the worker count is set to
-1, 2 and 3 and the size floor to 0, so that small inputs run on the pool, with
-uneven runs of blocks, a one-row last block and empty inputs. The silhouette's
-per-cluster walk over its distances stays on one thread.
+build, runs of row blocks of the silhouette's per-cluster walk over its
+distances, and one `G @ v` per MMD-GEMINI cluster. Every row-block pass goes
+through `kernels._for_row_blocks` with the worker count of its n x n matrix.
+Here the worker count is set to 1, 2 and 3 and the size floor to 0, so that
+small inputs run on the pool, with uneven runs of blocks, a one-row last
+block and empty inputs.
 """
 
 import os
@@ -19,11 +21,11 @@ import numpy as np
 import pytest
 
 import miclust as mc
-from miclust import KernelSpec, TrainConfig, gram, kernels, silhouette
+from miclust import KernelSpec, TrainConfig, gram, kernels, metrics, silhouette
 from miclust.kernels import pairwise_sq_dist
 from miclust.objectives import mmd_gemini_ova
 
-SIZES = [0, 1, 801, 1023]  # 801 rows end on a one-row block; 1023 splits 32 blocks 10/11/11 over 3 workers
+SIZES = [0, 1, 801, 1023]  # 801 and 1023 rows split 5 and 8 row blocks of 1 MB unevenly over 2 or 3 workers
 WORKERS = [1, 2, 3]
 
 
@@ -157,8 +159,8 @@ def test_below_the_size_floor_no_pool_is_made(monkeypatch):
     silhouette(np.sqrt(pairwise_sq_dist(X, X)), labels, precomputed=True)
 
 
-def test_silhouette_keeps_its_block_means_off_the_pool(monkeypatch):
-    # its per-cluster means hold the GIL, so two threads gained little; its distances are built as gram's are
+def test_silhouette_walks_its_distances_with_the_worker_count_of_gram(monkeypatch):
+    # one row-block walker for every n x n pass: the distance epilogue and the per-cluster walk alike
     X, labels, _ = _data(801)
     D = np.sqrt(pairwise_sq_dist(X, X))
     walks = []
@@ -171,14 +173,36 @@ def test_silhouette_keeps_its_block_means_off_the_pool(monkeypatch):
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_PARALLEL_BYTES", 0)
     monkeypatch.setattr(kernels, "_for_row_blocks", record)
+    monkeypatch.setattr(metrics, "_for_row_blocks", record)
     gram(X, X, KernelSpec("rbf", 0.5))
     assert walks == [2]
     silhouette(X, labels)
-    assert walks[1:] == [2]  # the distance epilogue, its sqrt included, and no other row-block walk
-    # the per-cluster walk alone, with no pool to run on
-    monkeypatch.setattr(kernels, "_executor", lambda: pytest.fail("the silhouette's walk used the pool"))
+    assert walks[1:] == [2, 2]  # the distance epilogue, its sqrt included, then the walk
     silhouette(D, labels, precomputed=True)
-    assert walks[2:] == []
+    assert walks[3:] == [2]  # the walk alone
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_silhouette_on_the_pool_keeps_its_serial_bits_to_a_one_row_last_block(monkeypatch, workers):
+    X, labels, _ = _data(1141)
+    assert 1141 % (kernels._BLOCK_BYTES // (8 * 1141)) == 1  # 10 row blocks of 114 rows, then one of 1 row
+    D = np.sqrt(pairwise_sq_dist(X, X))
+
+    def scores():
+        return silhouette(X, labels)[1], silhouette(D, labels, precomputed=True)[1]
+
+    serial, threaded = _serial(monkeypatch, scores), _threaded(monkeypatch, workers, scores)
+    assert all(_same_bytes(a, b) for a, b in zip(serial, threaded))
+
+
+def test_silhouette_sums_that_overflow_on_a_pool_thread_raise_without_a_warning(monkeypatch):
+    # numpy's error state belongs to each thread, so the walk sets it in every block it runs
+    labels = np.arange(801) % 3
+    D = np.full((801, 801), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sums do not overflow"):
+            _threaded(monkeypatch, 2, lambda: silhouette(D, labels, precomputed=True))
 
 
 def test_importing_the_cli_loads_no_thread_pool_module():
