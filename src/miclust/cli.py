@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from miclust import baselines, contrastive as contrastive_mod, data as data_mod, metrics as metrics_mod
 from miclust.errors import NumericError
-from miclust.kernels import KernelSpec, gram
+from miclust.kernels import KERNEL_KINDS, KernelSpec, gram
 from miclust.models import MlpModel, init_model, load_model
 from miclust.optim import OBJECTIVES, FitReport, TrainConfig, fit
 
@@ -115,16 +114,15 @@ def _run_model(args, X: data_mod.DataMatrix):
     # built for every id, so the baselines reject the same flags as the trained models
     cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed, objective=objective, lam=reg,
                       kernel=spec)
-    start = time.perf_counter()
     if kind == "kmeans":
         labels, centroids, inertia = baselines.kmeans(X.values, args.k, n_init=args.n_init, rng=args.seed)
         final = {"kind": "kmeans", "centroids": centroids.tolist(), "inertia": inertia}
         config = {"model": "kmeans", "k": args.k, "n_init": args.n_init, "seed": args.seed}
-        return FitReport([], final, labels.tolist(), config, time.perf_counter() - start)
+        return FitReport([], final, labels.tolist(), config)
     if kind == "spectral":
         labels = baselines.spectral(X.values, args.k, spec, rng=args.seed)
         config = {"model": "spectral", "k": args.k, "seed": args.seed, "kernel": spec.resolve(X.values).to_dict()}
-        return FitReport([], {"kind": "spectral"}, labels.tolist(), config, time.perf_counter() - start)
+        return FitReport([], {"kind": "spectral"}, labels.tolist(), config)
     dims = {"d": X.d, "k": args.k, "hidden": args.hidden}
     model = init_model(kind, dims, rng=args.seed, X_ref=X.values, spec=spec, X=X.values)
     return fit(model, X.values, cfg)
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objective", choices=list(OBJECTIVES), default=None)
         p.add_argument("--data", required=True)
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
+        p.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--reg", type=float, default=None)
         p.add_argument("--hidden", type=int, default=20)

@@ -96,8 +96,9 @@ def _map(fn, items, workers: int) -> list:
     return [fn(item) for item in items] if workers < 2 or len(items) < 2 else list(_executor().map(fn, items))
 
 
-def _for_row_blocks(n: int, m: int, body, workers: int) -> None:
+def _for_row_blocks(n: int, m: int, body) -> None:
     """body(rows) per row block of about _BLOCK_BYTES of an n x m float64 matrix, one run of blocks per worker."""
+    workers = _workers(8 * n * m)
     step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
     starts = range(0, n, step)
     runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers] for i in range(workers)]
@@ -124,7 +125,7 @@ def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: Non
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         finish(rows, np.maximum(block, 0.0, out=block))
 
-    _for_row_blocks(*out.shape, epilogue, _workers(out.nbytes))
+    _for_row_blocks(*out.shape, epilogue)
     return out
 
 

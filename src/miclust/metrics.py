@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks, _workers
+from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks
 
 
 def _int_labels(labels) -> np.ndarray:
@@ -74,19 +74,18 @@ def silhouette(X, labels, precomputed: bool = False):
         raise ValueError(f"X has {len(D)} rows but there are {n} labels")
     if precomputed and D.shape != (n, n):
         raise ValueError("precomputed distance matrix must be n x n")
+    uniq, inv = np.unique(labels, return_inverse=True)
+    if uniq.size < 2:
+        raise ValueError("silhouette requires at least 2 clusters")
     if not precomputed:
         # each term of the norm expansion is at most 4 max ||x||^2; twice that finite leaves room for rounding, so
         # an X that passes builds its distances without a floating-point warning on any thread
         with np.errstate(over="ignore"):
             if not np.isfinite(8.0 * (D * D).sum(axis=1)).all():
                 raise ValueError("silhouette needs finite data whose squared distances fit in float64")
-    uniq, inv = np.unique(labels, return_inverse=True)
-    if uniq.size < 2:
-        raise ValueError("silhouette requires at least 2 clusters")
+        D = _sq_dist_blocks(D, D, lambda rows, block: np.sqrt(block, out=block))
     sizes = np.bincount(inv)
     members_of = [np.flatnonzero(inv == j) for j in range(uniq.size)]
-    if not precomputed:
-        D = _sq_dist_blocks(D, D, lambda rows, block: np.sqrt(block, out=block))
     # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
@@ -109,7 +108,7 @@ def silhouette(X, labels, precomputed: bool = False):
                 # summed along contiguous rows, exactly as each D[i, idx].sum() would be; singletons score 0 anyway
                 intra[rows.start + own] = np.ascontiguousarray(members[:, own].T).sum(axis=1) / max(sizes[j] - 1, 1)
 
-    _for_row_blocks(n, n, walk, _workers(D.nbytes))
+    _for_row_blocks(n, n, walk)
     # a NaN or inf anywhere in D reaches its row's mean to that entry's cluster, so the O(nK) sums are checked, not D
     if not np.isfinite(mean_to).all():
         raise ValueError("silhouette needs finite distances whose per-cluster sums do not overflow")

@@ -103,7 +103,7 @@ class ClusterModel:
         return getattr(self, self.param_names[-1]).shape[-1]
 
     def _extra_dict(self) -> dict:
-        return {}
+        return {key: getattr(self, key) for key in self.extra_keys}
 
     @classmethod
     def _from_doc(cls, params: list, doc: dict) -> "ClusterModel":
@@ -246,9 +246,6 @@ class NonparametricModel(ClusterModel):
 
     def head_backward(self, F, saved, dZ):
         return {"L": dZ.copy()}
-
-    def _extra_dict(self):
-        return {"fingerprint": self.fingerprint}
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (LinearModel, KernelModel, MlpModel, NonparametricModel)}

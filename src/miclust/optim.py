@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -65,13 +64,11 @@ class FitReport:
     final_model: dict
     labels: list
     config: dict
-    elapsed: float
     metrics: dict = field(default_factory=dict)
     gram: KernelMatrix | None = None
 
     def to_json(self) -> str:
-        # elapsed is intentionally excluded: identical seeded runs must serialize byte-identically;
-        # so is gram, the fit's kernel matrix on its training samples, which is kept only for scoring
+        # gram, the fit's kernel matrix on its training samples, is kept only for scoring
         return json.dumps(
             {
                 "config": self.config,
@@ -178,16 +175,14 @@ def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -
     """
     opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
-    start = time.perf_counter()
     for e in range(cfg.epochs):
         value, gradient = epoch()
         if not math.isfinite(value):
             raise NumericError(f"objective became non-finite at epoch {e}: {value}")
         history.append(value)
         opt.step(gradient())
-    elapsed = time.perf_counter() - start
     labels = np.argmax(scores(), axis=1).tolist()
-    return FitReport(history, model.to_dict(), labels, config, elapsed)
+    return FitReport(history, model.to_dict(), labels, config)
 
 
 def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:

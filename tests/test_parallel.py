@@ -4,7 +4,7 @@
 distance epilogue of `gram`, `pairwise_sq_dist` and the silhouette's distance
 build, runs of row blocks of the silhouette's per-cluster walk over its
 distances, and one `G @ v` per MMD-GEMINI cluster. Every row-block pass goes
-through `kernels._for_row_blocks` with the worker count of its n x n matrix.
+through `kernels._for_row_blocks`, which takes the worker count of its n x m matrix.
 Here the worker count is set to 1, 2 and 3 and the size floor to 0, so that
 small inputs run on the pool, with uneven runs of blocks, a one-row last
 block and empty inputs.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import miclust as mc
-from miclust import KernelSpec, TrainConfig, gram, kernels, metrics, silhouette
+from miclust import KernelSpec, TrainConfig, gram, kernels, silhouette
 from miclust.kernels import pairwise_sq_dist
 from miclust.objectives import mmd_gemini_ova
 
@@ -164,16 +164,15 @@ def test_silhouette_walks_its_distances_with_the_worker_count_of_gram(monkeypatc
     X, labels, _ = _data(801)
     D = np.sqrt(pairwise_sq_dist(X, X))
     walks = []
-    walk = kernels._for_row_blocks
+    workers = kernels._workers
 
-    def record(n, m, body, workers):
-        walks.append(workers)
-        walk(n, m, body, workers)
+    def record(nbytes):
+        walks.append(workers(nbytes))
+        return walks[-1]
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(kernels, "_for_row_blocks", record)
-    monkeypatch.setattr(metrics, "_for_row_blocks", record)
+    monkeypatch.setattr(kernels, "_workers", record)
     gram(X, X, KernelSpec("rbf", 0.5))
     assert walks == [2]
     silhouette(X, labels)

@@ -43,7 +43,7 @@ def reference_fit(model, X, cfg: TrainConfig) -> str:
     if G is not None:
         config["kernel"] = G.spec.to_dict()
     labels = mc.predict(model, X).tolist()
-    return FitReport(history, json.loads(model.to_json()), labels, config, 0.0).to_json()
+    return FitReport(history, json.loads(model.to_json()), labels, config).to_json()
 
 
 def reference_contrastive(critic, X, aug, cfg: TrainConfig) -> str:
@@ -58,7 +58,7 @@ def reference_contrastive(critic, X, aug, cfg: TrainConfig) -> str:
         opt.step(critic.backward_from_logits(X, -dZ))
     config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())
     labels = mc.extract_clusters(critic, X).tolist()
-    return FitReport(history, json.loads(critic.to_json()), labels, config, 0.0).to_json()
+    return FitReport(history, json.loads(critic.to_json()), labels, config).to_json()
 
 
 @pytest.fixture(scope="module")
