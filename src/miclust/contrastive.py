@@ -8,6 +8,7 @@ Clusters are extracted as the per-sample argmax of the critic outputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < np.inf):
+            raise ValueError(f"sigma must be finite and >= 0, got {type(self.sigma).__name__} {self.sigma!r}")
 
     def describe(self) -> str:
         return f"noise:{self.sigma}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ KERNEL_KINDS = ("linear", "rbf")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Choice of kernel; gamma applies to rbf only."""
+    """Choice of kernel; gamma applies to rbf only, but reports echo it for either kind, where it must be finite."""
 
     kind: str = "rbf"
     gamma: float | None = None
@@ -22,9 +23,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        # gamma applies to rbf only, but either kind echoes it in reports, where only a finite one is valid JSON
-        if self.gamma is not None and not (0 < self.gamma < np.inf if self.kind == "rbf" else np.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite, and positive for rbf, got {self.gamma}")
+        gamma = self.gamma if isinstance(self.gamma, numbers.Real) else np.nan  # a non-number is named below
+        if self.gamma is not None and not (0 < gamma < np.inf if self.kind == "rbf" else np.isfinite(gamma)):
+            raise ValueError(f"gamma must be finite, positive for rbf, got {type(self.gamma).__name__} {self.gamma!r}")
 
     def resolve(self, X: np.ndarray) -> "KernelSpec":
         """Fill in the default gamma from the data when unset."""
@@ -123,7 +124,8 @@ def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: Non
     def epilogue(rows):
         block = out[rows]
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
-        finish(rows, np.maximum(block, 0.0, out=block))
+        with np.errstate(over="ignore"):  # per thread: an rbf gamma * d^2 past float64 is -inf, and exp(-inf) = 0
+            finish(rows, np.maximum(block, 0.0, out=block))
 
     _for_row_blocks(*out.shape, epilogue)
     return out
@@ -148,8 +150,8 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
 def default_gamma(X: np.ndarray) -> float:
     """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.size == 0:
-        raise ValueError(f"data of shape {X.shape} is empty; cannot derive a default gamma")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"data of shape {X.shape} is not a matrix or is empty; cannot derive a default gamma")
     var = X.var()
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class TrainConfig:
         if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
             raise ValueError(f"epochs must be an integer >= 0, got {type(self.epochs).__name__} {self.epochs!r}")
         self.epochs = int(self.epochs)  # a numpy integer would not serialize into the report
+        kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str, "KernelSpec | None": KernelSpec | None}
+        for f in fields(self):  # by its annotation, a string in this module, before any comparison can fail on it
+            if not isinstance(value := getattr(self, f.name), kinds[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -171,18 +175,21 @@ def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -
 
     `epoch()` returns (value, gradient) at the current parameters; the value
     is checked before `gradient()` runs, so a non-finite objective raises
-    NumericError. The labels are the argmax of `scores()` after training.
+    NumericError, as do non-finite final `scores()`, whose argmax are the
+    labels; so a fit that diverges fails with no numpy warning.
     """
     opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
-    for e in range(cfg.epochs):
-        value, gradient = epoch()
-        if not math.isfinite(value):
-            raise NumericError(f"objective became non-finite at epoch {e}: {value}")
-        history.append(value)
-        opt.step(gradient())
-    labels = np.argmax(scores(), axis=1).tolist()
-    return FitReport(history, model.to_dict(), labels, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(cfg.epochs):
+            value, gradient = epoch()
+            if not math.isfinite(value):
+                raise NumericError(f"objective became non-finite at epoch {e}: {value}")
+            history.append(value)
+            opt.step(gradient())
+        if not np.isfinite(S := scores()).all():
+            raise NumericError("the trained model's scores are not finite")
+    return FitReport(history, model.to_dict(), np.argmax(S, axis=1).tolist(), config)
 
 
 def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:

@@ -295,9 +295,10 @@ def test_io_error_exit_code(tmp_path):
 
 
 def run_cli(*argv):
-    """Run the CLI as a user does, in a fresh interpreter."""
+    """Run the CLI as a user does, in a fresh interpreter whose warnings are errors, so none can precede an exit."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+               PYTHONWARNINGS="error")
     return subprocess.run(
         [sys.executable, "-m", "miclust.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
@@ -321,6 +322,31 @@ def test_config_without_path_exits_2_without_traceback():
     proc = run_cli("fit", "--config")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--model", "linear", "--lr", "1e300", "--epochs", "5"], ["--model", "mlp", "--lr", "1e300", "--epochs", "5"],
+     ["--model", "mlp", "--objective", "mmd-gemini", "--lr", "1e300", "--epochs", "5"],
+     ["--model", "mlp", "--lr", "1e160", "--epochs", "1"]],
+    ids=["linear-rim", "mlp-mi", "mlp-mmd", "mlp-mi-one-step"],
+)
+def test_a_fit_that_diverges_exits_3_without_a_warning_or_a_report(tmp_path, flags):
+    data = tmp_path / "circles.csv"
+    assert main(["generate", "circles", "--n", "120", "--out", str(data)]) == 0
+    proc = run_cli("fit", *flags, "--data", str(data), "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_a_kernel_fit_whose_rbf_exponent_overflows_exits_0_without_a_warning(tmp_path):
+    data = tmp_path / "circles.csv"
+    assert main(["generate", "circles", "--n", "50", "--out", str(data)]) == 0
+    proc = run_cli("fit", "--model", "kernel", "--gamma", "1e308", "--epochs", "2", "--data", str(data),
+                   "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["model"]["kernel"]["gamma"] == 1e308
 
 
 def test_boundary_zero_resolution_exits_2_without_traceback(tmp_path):

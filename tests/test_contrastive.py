@@ -208,6 +208,12 @@ def test_augmentations_reject_non_finite_parameters(make):
         make()
 
 
+@pytest.mark.parametrize("sigma,type_name", [("1", "str"), (None, "NoneType"), ([0.5], "list")])
+def test_gaussian_noise_names_a_sigma_that_is_not_a_real_number(sigma, type_name):
+    with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {type_name} "):
+        GaussianNoise(sigma)
+
+
 @pytest.mark.parametrize(
     "aug",
     [GaussianNoise(0.5), GaussianNoise(0.0), GaussianNoise(1 / 3), Rotation2D(), Rotation2D(-0.1, 2.5e-7),

@@ -69,6 +69,12 @@ def test_default_gamma_rejects_an_empty_matrix(shape):
         gram(np.empty(shape), np.empty(shape), KernelSpec("rbf"))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_default_gamma_rejects_an_input_that_is_not_a_matrix(shape):
+    with pytest.raises(ValueError, match=r"is not a matrix or is empty; cannot derive a default gamma"):
+        default_gamma(np.ones(shape))
+
+
 def test_resolve_fills_gamma_and_is_idempotent():
     X = make_rng(3).normal(size=(10, 2))
     spec = KernelSpec("rbf").resolve(X)
@@ -140,6 +146,13 @@ def test_gram_matches_out_of_place_formula_bit_for_bit(X, Y, spec):
 @pytest.mark.parametrize("kind", ["rbf", "linear"])
 def test_kernel_spec_rejects_a_non_finite_gamma(kind, gamma):
     with pytest.raises(ValueError, match="gamma must be finite"):
+        KernelSpec(kind, gamma)
+
+
+@pytest.mark.parametrize("gamma,type_name", [("1", "str"), ([1.0], "list"), (1j, "complex")])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_kernel_spec_names_a_gamma_that_is_not_a_real_number(kind, gamma, type_name):
+    with pytest.raises(ValueError, match=f"gamma must be finite, positive for rbf, got {type_name} "):
         KernelSpec(kind, gamma)
 
 

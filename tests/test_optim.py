@@ -97,6 +97,20 @@ def test_fit_raises_numeric_error_on_nonfinite_objective():
         fit(model, X.values, TrainConfig(epochs=5, objective="rim", lam=1.0))
 
 
+@pytest.mark.parametrize(
+    "kind,objective,lam,lr,epochs",
+    [("linear", "rim", 0.1, 1e300, 5), ("mlp", "mi", 0.0, 1e300, 5), ("mlp", "mmd-gemini", 0.0, 1e300, 5),
+     ("mlp", "mi", 0.0, 1e160, 1)],
+    ids=["linear-rim", "mlp-mi", "mlp-mmd", "mlp-mi-one-step"],
+)
+def test_a_fit_that_diverges_raises_numeric_error_without_a_warning(kind, objective, lam, lr, epochs):
+    # the suite turns a numpy warning into an error; the one-step fit's responsibilities are all NaN, not labels
+    X = make_circles(120, 0.05, 0.1, 0).values
+    model = init_model(kind, {"d": 2, "k": 2, "hidden": 20}, rng=0)
+    with pytest.raises(NumericError, match="non-finite|not finite"):
+        fit(model, X, TrainConfig(epochs=epochs, learning_rate=lr, objective=objective, lam=lam))
+
+
 def test_predict_breaks_ties_toward_lowest_index():
     model = init_model("linear", {"d": 2, "k": 3}, scale=0.0, rng=0)
     labels = predict(model, np.zeros((4, 2)))
@@ -129,6 +143,17 @@ def test_train_config_rejects_non_finite_settings(field, value):
 def test_train_config_names_the_type_of_epochs_that_are_not_an_integer(epochs, type_name):
     with pytest.raises(ValueError, match=f"epochs must be an integer >= 0, got {type_name}"):
         TrainConfig(epochs=epochs)
+
+
+@pytest.mark.parametrize(
+    "field,value,type_name",
+    [("lam", "1", "str"), ("learning_rate", "1", "str"), ("adam_beta1", None, "NoneType"), ("seed", "x", "str"),
+     ("seed", 1.0, "float"), ("objective", 1, "int"), ("kernel", "rbf", "str")],
+)
+def test_train_config_names_a_field_of_the_wrong_type(field, value, type_name):
+    # each raised a TypeError on its first comparison, or was accepted and failed later in fit
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {type_name} "):
+        TrainConfig(**{field: value})
 
 
 def test_train_config_takes_any_integer_epochs_and_reports_them():

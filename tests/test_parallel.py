@@ -204,6 +204,14 @@ def test_silhouette_sums_that_overflow_on_a_pool_thread_raise_without_a_warning(
             _threaded(monkeypatch, 2, lambda: silhouette(D, labels, precomputed=True))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rbf_gram_whose_exponent_overflows_is_its_zero_one_matrix_without_a_warning(monkeypatch, workers):
+    # gamma * d^2 past float64 is -inf, whose exp 0 is the kernel's value; each thread sets its own error state
+    X = np.random.default_rng(5).integers(-20, 20, size=(801, 2)).astype(float)  # exact distances, with duplicates
+    G = _threaded(monkeypatch, workers, lambda: gram(X, X, KernelSpec("rbf", 1e308)).values)
+    assert np.array_equal(G, (X[:, None] == X[None]).all(axis=2))
+
+
 def test_importing_the_cli_loads_no_thread_pool_module():
     # the pool's module costs each process a few ms, so only a computation that uses the pool imports it
     code = "import sys, miclust.cli; sys.exit('concurrent.futures' in sys.modules)"
