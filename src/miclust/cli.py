@@ -46,13 +46,14 @@ def _load_config_file(path: str) -> list[str]:
     return extra
 
 
-def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
-    """The ARI against X's labels (when it has them) and the silhouette (None when undefined)."""
+def _scores(X: data_mod.DataMatrix, report: FitReport) -> dict:
+    """The ARI of the report's labels against X's (when it has them) and their silhouette (None when undefined)."""
+    report.gram = None  # the fit's held n x n is let go before the silhouette builds its own
     out = {}
     if X.labels is not None:
-        out["ari"] = metrics_mod.ari(X.labels, labels)
+        out["ari"] = metrics_mod.ari(X.labels, report.labels)
     try:
-        out["silhouette"] = metrics_mod.silhouette(X.values, labels)[0]
+        out["silhouette"] = metrics_mod.silhouette(X.values, report.labels)[0]
     except ValueError:
         out["silhouette"] = None
     return out
@@ -60,20 +61,15 @@ def _scores(X: data_mod.DataMatrix, labels: np.ndarray) -> dict:
 
 def _write_report(out_dir: Path, report: FitReport, X: data_mod.DataMatrix) -> None:
     """Score the report's labels, write report.json into out_dir and print the metrics."""
-    labels = np.asarray(report.labels)
-    # the fit's own matrix on X saves a rebuild when it has the scoring kernel; it is let go before the silhouette
-    score_gram, report.gram = report.gram, None
     try:
-        # kernel K-means scores with the kernel the fit trained against, else the kernel head's own, else linear
+        # kernel K-means scores with the kernel the fit trained against, else the kernel head's own, else linear; a
+        # fit's held matrix on X is under exactly that kernel, so it saves a rebuild
         kernel = report.config.get("kernel") or report.final_model.get("kernel")
         spec = KernelSpec.from_dict(kernel) if kernel else KernelSpec("linear")
-        if score_gram is None or score_gram.spec != spec:
-            score_gram = gram(X.values, X.values, spec)
-        score = baselines.kernel_kmeans_score(labels, score_gram)
+        score = baselines.kernel_kmeans_score(report.labels, report.gram or gram(X.values, X.values, spec))
     except ValueError:
         score = None
-    del score_gram
-    report.metrics = dict(_scores(X, labels), kernel_kmeans_score=score)
+    report.metrics = dict(_scores(X, report), kernel_kmeans_score=score)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json())
     for name, value in sorted(report.metrics.items()):
@@ -178,12 +174,10 @@ def cmd_sweep(args) -> int:
     for k in ks:
         for seed in seeds:
             report = _run_model(argparse.Namespace(**dict(vars(args), k=k, seed=seed)), X)
-            report.gram = None  # the held training Gram is not scored here; let it go before the silhouette
-            labels = np.asarray(report.labels)
             # k-means reports no history; its objective is the negated inertia
             objective_value = report.history[-1] if report.history else -report.final_model.get("inertia", float("nan"))
-            scores = _scores(X, labels)
-            shares = np.bincount(labels, minlength=k) / labels.size
+            scores = _scores(X, report)
+            shares = np.bincount(report.labels, minlength=k) / len(report.labels)
             used = int((shares > 1.0 / (10 * k)).sum())
             rows.append([args.model, k, seed, scores.get("ari"), scores["silhouette"], objective_value, used])
     data_mod.write_csv(args.out, ["model", "k", "seed", "ari", "silhouette", "objective", "used_clusters"], rows)

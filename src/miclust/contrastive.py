@@ -41,8 +41,9 @@ class Rotation2D:
     hi: float = 2 * np.pi
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"angle range must be finite: [{self.lo}, {self.hi}]")
+        for name, value in (("lo", self.lo), ("hi", self.hi)):
+            if not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):
+                raise ValueError(f"angle range must be finite, got {name} {type(value).__name__} {value!r}")
         if self.lo > self.hi:
             raise ValueError(f"angle range is empty: [{self.lo}, {self.hi}]")
 
@@ -151,9 +152,14 @@ def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:
     F = critic.features(values)
 
     def epoch():
-        X_aug = augment(values, aug, gen)
+        Z_aug = critic.logits(augment(values, aug, gen))
         Z, saved = critic.head(F)
-        loss, dZ = info_nce_loss(Z, critic.logits(X_aug))
+        try:
+            loss, dZ = info_nce_loss(Z, Z_aug)
+        except ValueError:  # a critic that diverged has clean logits whose squares are not finite, and no loss
+            if np.isfinite(Z * Z).all():
+                raise
+            return np.nan, None
         return loss, lambda: critic.head_backward(F, saved, -dZ)  # ascend the negated loss
 
     config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())

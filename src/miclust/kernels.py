@@ -21,6 +21,8 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.gamma, np.generic):  # a numpy number would not serialize into a report
+            object.__setattr__(self, "gamma", self.gamma.item())
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         gamma = self.gamma if isinstance(self.gamma, numbers.Real) else np.nan  # a non-number is named below
@@ -86,24 +88,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)  # the pool's threads do not survive a fork
 
 
-def _workers(nbytes: int) -> int:
-    """Threads for work over nbytes of matrix: 1 below _PARALLEL_BYTES, or on a pool thread (no nested deadlock)."""
-    return 1 if nbytes < _PARALLEL_BYTES or threading.current_thread().name.startswith(_POOL) else _WORKERS
-
-
-def _map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], each call whole on one pool thread if workers > 1, so with the serial bits."""
+def _map(fn, items, nbytes: int) -> list:
+    """[fn(item) for item in items] over nbytes of matrix, each call whole on one pool thread, so with the serial bits;
+    serially on one core, for under 2 items, below _PARALLEL_BYTES, or on a pool thread (no nested deadlock)."""
     # no caller splits one BLAS call over items (G[rows] @ v differs from G @ v), and fn calls no traced public function
-    return [fn(item) for item in items] if workers < 2 or len(items) < 2 else list(_executor().map(fn, items))
+    if _WORKERS < 2 or len(items) < 2 or nbytes < _PARALLEL_BYTES or threading.current_thread().name.startswith(_POOL):
+        return [fn(item) for item in items]
+    return list(_executor().map(fn, items))
 
 
 def _for_row_blocks(n: int, m: int, body) -> None:
-    """body(rows) per row block of about _BLOCK_BYTES of an n x m float64 matrix, one run of blocks per worker."""
-    workers = _workers(8 * n * m)
+    """body(rows) per row block of about _BLOCK_BYTES of an n x m float64 matrix, in one run of blocks per worker."""
     step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
     starts = range(0, n, step)
-    runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers] for i in range(workers)]
-    _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, workers)
+    runs = [starts[len(starts) * i // _WORKERS:len(starts) * (i + 1) // _WORKERS] for i in range(_WORKERS)]
+    _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, 8 * n * m)
 
 
 def _matrices(X, Y) -> tuple:

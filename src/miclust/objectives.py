@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from miclust.kernels import KernelMatrix, _map, _workers
+from miclust.kernels import KernelMatrix, _map
 
 # floor inside logs so that the 0*log(0) := 0 convention is numerically safe
 _LOG_FLOOR = 1e-300
@@ -109,7 +109,7 @@ def mmd_gemini_ova(P: np.ndarray, K: KernelMatrix) -> ObjectiveValue:
     alphas = [P[:, k] / (n * pbar[k]) for k in active]
     vs = [alpha - beta for alpha in alphas]
     # one whole G @ v per cluster, concurrently when G is large; the rest runs in k order
-    Gvs = _map(G.__matmul__, vs, _workers(G.nbytes))
+    Gvs = _map(G.__matmul__, vs, G.nbytes)
     for k, alpha, v, Gv in zip(active, alphas, vs, Gvs):
         q = float(v @ Gv)
         if q < _SQRT_EPS:

@@ -40,11 +40,11 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
             raise ValueError(f"epochs must be an integer >= 0, got {type(self.epochs).__name__} {self.epochs!r}")
-        self.epochs = int(self.epochs)  # a numpy integer would not serialize into the report
         kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str, "KernelSpec | None": KernelSpec | None}
         for f in fields(self):  # by its annotation, a string in this module, before any comparison can fail on it
             if not isinstance(value := getattr(self, f.name), kinds[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+            setattr(self, f.name, value.item() if isinstance(value, np.generic) else value)  # JSON takes Python numbers
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):

@@ -251,20 +251,33 @@ def test_sweep_rows_score_each_fits_labels(tmp_path, circles_csv):
             assert row["silhouette"] == ""
 
 
-def test_sweep_lets_each_fits_training_gram_go_before_scoring(tmp_path):
-    # each fit's held training Gram is unused by the sweep, so the peak stays near the one n x n matrix of a fit
+# per command at n=1000: its argv, whose last item names its output in tmp_path, and the bound on its traced peak, in
+# n x n float64 matrices. A fit's held training Gram (or kernel head's features) is let go before the silhouette
+# builds its own n x n: the sweep never scores it, and a fit's kernel K-means score is done with it; held on, it
+# raised a fit's peak to 2.2-2.5 n x n
+RELEASE_CASES = {
+    "sweep-mlp-mmd": (["sweep", "--model", "mlp", "--objective", "mmd-gemini", "--k-range", "2:3", "--seeds", "0",
+                       "--out", "sweep.csv"], 1.5),
+    "fit-kernel-rim": (["fit", "--model", "kernel-rim", "--out-dir", "run"], 2.0),
+    "fit-mlp-mmd": (["fit", "--model", "mlp", "--objective", "mmd-gemini", "--out-dir", "run"], 2.0),
+    "fit-kernel-mmd": (["fit", "--model", "kernel", "--objective", "mmd-gemini", "--out-dir", "run"], 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(RELEASE_CASES))
+def test_sweep_lets_each_fits_training_gram_go_before_scoring(tmp_path, case):
     n = 1000
+    argv, bound = RELEASE_CASES[case]
     data = tmp_path / "circles.csv"
     assert main(["generate", "circles", "--n", str(n), "--standardize", "--out", str(data)]) == 0
     tracemalloc.start()
     try:
-        code = main(["sweep", "--model", "mlp", "--objective", "mmd-gemini", "--k-range", "2:3", "--seeds", "0",
-                     "--epochs", "2", "--data", str(data), "--out", str(tmp_path / "sweep.csv")])
+        code = main([*argv[:-1], str(tmp_path / argv[-1]), "--epochs", "2", "--data", str(data)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 1.5 * n * n * 8
+    assert peak < bound * n * n * 8
 
 
 def test_config_file_provides_defaults(tmp_path, circles_csv):
@@ -338,6 +351,18 @@ def test_a_fit_that_diverges_exits_3_without_a_warning_or_a_report(tmp_path, fla
     assert proc.returncode == 3
     assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("lr", ["1e100", "1e300"])
+def test_a_contrastive_critic_that_diverges_exits_3_without_a_warning_or_a_report(tmp_path, lr):
+    # at 1e100 the clean logits are finite after one step, but their squares overflow: no cosine similarity
+    data = tmp_path / "circles.csv"
+    assert main(["generate", "circles", "--n", "120", "--out", str(data)]) == 0
+    proc = run_cli("contrastive", "--aug", "noise:0.5", "--lr", lr, "--epochs", "5", "--data", str(data),
+                   "--out-dir", str(tmp_path / "con"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "con" / "report.json").exists()
 
 
 def test_a_kernel_fit_whose_rbf_exponent_overflows_exits_0_without_a_warning(tmp_path):

@@ -140,16 +140,17 @@ def inputs(tmp_path):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-@example(data=["--model", "kernel", "--gamma", "1e308", "--epochs", "2"])
-@example(data=["--model", "linear", "--lr", "1e300", "--epochs", "5"])
+@example(data=["fit", "--model", "kernel", "--gamma", "1e308", "--epochs", "2"])
+@example(data=["fit", "--model", "linear", "--lr", "1e300", "--epochs", "5"])
+@example(data=["contrastive", "--aug", "noise:0.5", "--lr", "1e100", "--epochs", "5"])
 def test_cli_exit_code_contract(tmp_path, inputs, data):
     # the suite turns a numpy warning into an error, so no command may warn either
     out = {
         "file": [str(tmp_path / "out.csv"), str(tmp_path / "no" / "such" / "dir.csv"), str(tmp_path)],
         "dir": [str(tmp_path / "run"), str(tmp_path / "in" / "circles.csv")],
     }
-    if isinstance(data, list):  # an explicit example: fit flags, run on the circles input
-        argv = ["fit", *data, "--data", inputs["data"][0], "--out-dir", out["dir"][0]]
+    if isinstance(data, list):  # an explicit example: a command and its flags, run on the circles input
+        argv = [*data, "--data", inputs["data"][0], "--out-dir", out["dir"][0]]
     else:
         argv = data.draw(command(inputs, out), label="argv")
     assert main(argv) in (0, 2, 3, 4)

@@ -16,7 +16,8 @@ from miclust import (
     train_contrastive,
 )
 from miclust.contrastive import parse_augmentation
-from miclust.data import make_rng
+from miclust.data import make_circles, make_rng
+from miclust.errors import NumericError
 
 
 def fd_grad(Z, Z_aug, h=1e-6):
@@ -214,6 +215,13 @@ def test_gaussian_noise_names_a_sigma_that_is_not_a_real_number(sigma, type_name
         GaussianNoise(sigma)
 
 
+@pytest.mark.parametrize("value,type_name", [("1", "str"), (None, "NoneType")])
+@pytest.mark.parametrize("field", ["lo", "hi"])
+def test_rotation_names_an_angle_that_is_not_a_real_number(field, value, type_name):
+    with pytest.raises(ValueError, match=f"angle range must be finite, got {field} {type_name} "):
+        Rotation2D(**{field: value})
+
+
 @pytest.mark.parametrize(
     "aug",
     [GaussianNoise(0.5), GaussianNoise(0.0), GaussianNoise(1 / 3), Rotation2D(), Rotation2D(-0.1, 2.5e-7),
@@ -245,3 +253,12 @@ def test_info_nce_rejects_a_zero_row():
     for args in ((np.vstack([Z[:3], np.zeros(3)]), Z), (Z, np.vstack([np.zeros(3), Z[1:]]))):
         with pytest.raises(ValueError, match="zero-norm"):
             info_nce_loss(*args)
+
+
+@pytest.mark.parametrize("lr", [1e100, 1e300])
+def test_a_critic_that_diverges_raises_numeric_error(lr):
+    # at 1e100 the clean logits stay finite after one step, but their squares overflow, so InfoNCE has no loss
+    X = make_circles(120, 0.05, 0.1, 0).values
+    cfg = TrainConfig(epochs=5, learning_rate=lr)
+    with pytest.raises(NumericError, match="non-finite at epoch 1"):
+        train_contrastive(init_critic(2, 20, 2, rng=0), X, GaussianNoise(0.5), cfg)

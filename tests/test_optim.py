@@ -164,3 +164,25 @@ def test_train_config_takes_any_integer_epochs_and_reports_them():
     assert len(report.history) == 3 and '"epochs": 3' in report.to_json()
     with pytest.raises(ValueError, match="epochs must be an integer >= 0, got int -1"):
         TrainConfig(epochs=-1)
+
+
+# per case, from a number maker num(numpy_type, value): the model kind, its extra init arguments and its config fields
+NUMPY_SCALAR_CASES = {
+    "seed": lambda num: ("linear", {}, {"seed": num(np.int64, 3)}),
+    "lam": lambda num: ("linear", {}, {"lam": num(np.float32, 0.5), "objective": "rim"}),
+    "training-gamma": lambda num: ("mlp", {}, {"objective": "mmd-gemini",
+                                               "kernel": KernelSpec("rbf", num(np.float32, 0.5))}),
+    "head-gamma": lambda num: ("kernel", {"spec": KernelSpec("rbf", num(np.float32, 0.5))}, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_SCALAR_CASES))
+def test_a_numpy_number_setting_reports_as_its_python_number(case):
+    values = small_data().values
+
+    def documents(num):
+        kind, init_kwargs, cfg_kwargs = NUMPY_SCALAR_CASES[case](num)
+        model = init_model(kind, {"d": 2, "k": 2, "hidden": 4}, rng=1, X_ref=values, **init_kwargs)
+        return fit(model, values, TrainConfig(epochs=3, **cfg_kwargs)).to_json(), model.to_json()
+
+    assert documents(lambda numpy_type, value: numpy_type(value)) == documents(lambda numpy_type, value: value)

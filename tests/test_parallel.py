@@ -4,7 +4,8 @@
 distance epilogue of `gram`, `pairwise_sq_dist` and the silhouette's distance
 build, runs of row blocks of the silhouette's per-cluster walk over its
 distances, and one `G @ v` per MMD-GEMINI cluster. Every row-block pass goes
-through `kernels._for_row_blocks`, which takes the worker count of its n x m matrix.
+through `kernels._for_row_blocks`, which hands `_map` the size of its n x m
+matrix, and `_map` alone decides whether the calls go on the pool.
 Here the worker count is set to 1, 2 and 3 and the size floor to 0, so that
 small inputs run on the pool, with uneven runs of blocks, a one-row last
 block and empty inputs.
@@ -141,7 +142,8 @@ def test_a_nested_call_runs_serially_in_its_worker(monkeypatch):
         patch.setattr(kernels, "_WORKERS", 2)
         patch.setattr(kernels, "_PARALLEL_BYTES", 0)
         # both workers run a gram; were it to wait on the pool itself, no worker would be left to serve it
-        thread = threading.Thread(target=kernels._map, args=(lambda task: task(), [nested, nested], 2), daemon=True)
+        thread = threading.Thread(target=kernels._map, args=(lambda task: task(), [nested, nested], 8 * 801 * 801),
+                                  daemon=True)
         thread.start()
         thread.join(timeout=60)
     assert not thread.is_alive(), "a nested call deadlocked"
@@ -163,16 +165,17 @@ def test_silhouette_walks_its_distances_with_the_worker_count_of_gram(monkeypatc
     # one row-block walker for every n x n pass: the distance epilogue and the per-cluster walk alike
     X, labels, _ = _data(801)
     D = np.sqrt(pairwise_sq_dist(X, X))
-    walks = []
-    workers = kernels._workers
+    walks = []  # the runs of blocks of each pass that goes on the pool, one per worker
+    executor = kernels._executor
 
-    def record(nbytes):
-        walks.append(workers(nbytes))
-        return walks[-1]
+    class Recording:
+        def map(self, fn, runs):
+            walks.append(len(runs))
+            return executor().map(fn, runs)
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_PARALLEL_BYTES", 0)
-    monkeypatch.setattr(kernels, "_workers", record)
+    monkeypatch.setattr(kernels, "_executor", Recording)
     gram(X, X, KernelSpec("rbf", 0.5))
     assert walks == [2]
     silhouette(X, labels)
