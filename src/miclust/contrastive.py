@@ -9,6 +9,7 @@ Clusters are extracted as the per-sample argmax of the critic outputs.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < np.inf):
+        # against the largest float, not inf: a Python int such as 10**400 is below inf, but no float64
+        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma <= sys.float_info.max):
             raise ValueError(f"sigma must be finite and >= 0, got {type(self.sigma).__name__} {self.sigma!r}")
 
     def describe(self) -> str:
@@ -42,7 +44,7 @@ class Rotation2D:
 
     def __post_init__(self):
         for name, value in (("lo", self.lo), ("hi", self.hi)):
-            if not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):
+            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):  # 10**400 is no float64
                 raise ValueError(f"angle range must be finite, got {name} {type(value).__name__} {value!r}")
         if self.lo > self.hi:
             raise ValueError(f"angle range is empty: [{self.lo}, {self.hi}]")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import numbers
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         gamma = self.gamma if isinstance(self.gamma, numbers.Real) else np.nan  # a non-number is named below
-        if self.gamma is not None and not (0 < gamma < np.inf if self.kind == "rbf" else np.isfinite(gamma)):
+        finite = abs(gamma) <= sys.float_info.max  # not < inf: a Python int such as 10**400 is below inf, no float64
+        if self.gamma is not None and not (finite and (gamma > 0 or self.kind != "rbf")):
             raise ValueError(f"gamma must be finite, positive for rbf, got {type(self.gamma).__name__} {self.gamma!r}")
 
     def resolve(self, X: np.ndarray) -> "KernelSpec":
@@ -115,13 +117,14 @@ def _matrices(X, Y) -> tuple:
 
 
 def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
-    """Clamped squared distances in the buffer of one gemm (2X) Y^T, then finish(rows, block) per row block."""
+    """Clamped squared distances, then finish(rows, block), per row block from that block's own gemm (2X)[rows] Y^T,
+    so the bits depend on the row-block partition and never on the worker count."""
     X, Y = _matrices(X, Y)
-    out = np.matmul(2.0 * X, Y.T)
+    X2, out = 2.0 * X, np.empty((len(X), len(Y)))
     xx, yy = _row_reduce(np.add, X * X).ravel(), _row_reduce(np.add, Y * Y).ravel()
 
     def epilogue(rows):
-        block = out[rows]
+        block = np.matmul(X2[rows], Y.T, out=out[rows])
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         with np.errstate(over="ignore"):  # per thread: an rbf gamma * d^2 past float64 is -inf, and exp(-inf) = 0
             finish(rows, np.maximum(block, 0.0, out=block))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -38,23 +39,28 @@ class TrainConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
+        def invalid(name, rule):
+            value = getattr(self, name)
+            return ValueError(f"{name} must be {rule}, got {type(value).__name__} {value!r}")
+
         if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
-            raise ValueError(f"epochs must be an integer >= 0, got {type(self.epochs).__name__} {self.epochs!r}")
+            raise invalid("epochs", "an integer >= 0")
         kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str, "KernelSpec | None": KernelSpec | None}
         for f in fields(self):  # by its annotation, a string in this module, before any comparison can fail on it
             if not isinstance(value := getattr(self, f.name), kinds[f.type]):
-                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+                raise invalid(f.name, f.type)
             setattr(self, f.name, value.item() if isinstance(value, np.generic) else value)  # JSON takes Python numbers
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        top = sys.float_info.max  # not inf: a Python int such as 10**400 is below inf, but no float64
+        if not 0 < self.learning_rate <= top:
+            raise invalid("learning_rate", "positive and finite")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if not 0 < self.adam_eps <= top:
+            raise invalid("adam_eps", "positive and finite")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; expected one of {tuple(OBJECTIVES)}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.lam <= top:
+            raise invalid("lam", "finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,9 +1,12 @@
 """The O(n^2) distance layer against the out-of-place formulas it replaced, across block edges.
 
-`pairwise_sq_dist`, the rbf `gram` and `silhouette` finish one gemm's result
-buffer in row blocks of `kernels._BLOCK_BYTES`, and the silhouette then walks
-its distances in row blocks of the same size. That size is shrunk here so
-that small inputs reach every edge: a single block, a short last block, a
+`pairwise_sq_dist`, the rbf `gram` and `silhouette` build their distances in
+row blocks of `kernels._BLOCK_BYTES`, each block from its own gemm
+`(2X)[rows] Y^T` written into the output, and the silhouette then walks its
+distances in row blocks of the same size. A gemm over a row block need not
+give the last bits of the whole-matrix gemm, so the out-of-place oracle
+takes its gemm over the same row blocks. That size is shrunk here so that
+small inputs reach every edge: a single block, a short last block, a
 one-row last block, one row per block and clusters whose members straddle
 block edges. The linear and kernel heads' weight gradient is pinned
 to the column-major product `F^T dZ`, whose bits a row-major `(dZ^T F)^T`
@@ -14,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miclust import KernelSpec, gram, init_model, make_circles, silhouette, standardize
 from miclust import kernels, metrics
@@ -21,9 +25,13 @@ from miclust.data import make_rng
 from miclust.kernels import pairwise_sq_dist
 
 
-def _sq_dist_out_of_place(X, Y):
+def _sq_dist_out_of_place(X, Y, step=None):
+    """The norm expansion out of place, its gemm 2X[rows] @ Y^T run alone on each row block: by default the layer's,
+    or of `step` rows."""
+    step = step or max(1, kernels._BLOCK_BYTES // (8 * max(len(Y), 1)))
     sq = np.add.outer((X * X).sum(axis=1), (Y * Y).sum(axis=1))
-    sq -= 2.0 * X @ Y.T
+    for lo in range(0, len(X), step):
+        sq[lo:lo + step] -= 2.0 * X[lo:lo + step] @ Y.T
     return np.maximum(sq, 0.0, out=sq)
 
 
@@ -107,6 +115,40 @@ def test_empty_inputs_keep_their_shapes(shapes):
         assert _same_bytes(gram(X, Y, spec).values, _gram_out_of_place(X, Y, spec))
 
 
+def _assert_whole_matrix_bits(X, Y, labels=None, spec=KernelSpec("rbf")):
+    """pairwise_sq_dist, the rbf gram and, on X against itself, the silhouette keep the bits of
+    max(xx + yy^T - (2X) Y^T, 0) with one gemm over the whole matrix, as the layer computed it before blocking."""
+    sq = _sq_dist_out_of_place(X, Y, step=len(X))
+    assert _same_bytes(pairwise_sq_dist(X, Y), sq)
+    if labels is not None:
+        expected_mean, expected = silhouette(np.sqrt(sq), labels, precomputed=True)
+        mean, scores = silhouette(X, labels)
+        assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
+    np.exp(np.multiply(sq, -spec.resolve(X).gamma, out=sq), out=sq)
+    assert _same_bytes(gram(X, Y, spec).values, sq)
+
+
+# standardized circles at n=150 and at the sizes the benchmark's digests and the acceptance bands use (200, 1000,
+# 4000): at these n a gemm per row block of the default size gives the whole gemm's bits, so those digests hold; at
+# n=2047, for one, it does not
+@pytest.mark.parametrize("n", [150, 200, 1000, 4000])
+def test_benchmark_circles_keep_the_bits_of_the_whole_matrix_gemm(n):
+    circles = standardize(make_circles(n, 0.05, 0.1, 0))
+    _assert_whole_matrix_bits(circles.values, circles.values, circles.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), m=st.integers(1, 400), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_one_block_keeps_the_bits_of_the_whole_matrix_gemm(n, m, d, seed):
+    # where 8 n m <= _BLOCK_BYTES, the one row block's gemm is the whole gemm
+    m = min(m, kernels._BLOCK_BYTES // (8 * n))
+    gen = make_rng(seed)
+    X, Y = gen.normal(size=(n, d)), gen.normal(size=(m, d))
+    _assert_whole_matrix_bits(X, Y, spec=KernelSpec("rbf", 0.5))
+    if n >= 2 and 8 * n * n <= kernels._BLOCK_BYTES:
+        _assert_whole_matrix_bits(X, X, np.arange(n) % 2, KernelSpec("rbf", 0.5))
+
+
 def _labelings():
     gen = make_rng(12)
     X = gen.normal(size=(101, 3))
@@ -134,10 +176,10 @@ SILHOUETTE_BLOCKS = {"default": None, "rows-of-40": 8 * 101 * 40, "rows-of-4": 8
 @pytest.mark.parametrize("block", list(SILHOUETTE_BLOCKS.values()), ids=list(SILHOUETTE_BLOCKS))
 @pytest.mark.parametrize("X,labels", list(_labelings()))
 def test_silhouette_is_the_out_of_place_formula_at_every_block_size(X, labels, block, monkeypatch):
-    D = np.sqrt(_sq_dist_out_of_place(X, X))
-    expected_mean, expected = _silhouette_out_of_place(D, labels)
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", block)
+    D = np.sqrt(_sq_dist_out_of_place(X, X))
+    expected_mean, expected = _silhouette_out_of_place(D, labels)
     mean, scores = silhouette(X, labels)
     assert _same_bytes(scores, expected) and repr(mean) == repr(expected_mean)
     # precomputed, in every layout: C order, Fortran order, and strided views of a larger buffer

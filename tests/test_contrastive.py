@@ -222,6 +222,19 @@ def test_rotation_names_an_angle_that_is_not_a_real_number(field, value, type_na
         Rotation2D(**{field: value})
 
 
+def test_gaussian_noise_rejects_an_integer_sigma_beyond_float64():
+    # such an int compares below inf, and train_contrastive then failed with OverflowError converting it
+    with pytest.raises(ValueError, match="^sigma must be finite and >= 0, got int 1000"):
+        GaussianNoise(10**400)
+    assert GaussianNoise(10**300).sigma == 10**300
+
+
+@pytest.mark.parametrize("field,value", [("lo", -10**400), ("hi", 10**400)], ids=["lo", "hi"])
+def test_rotation_rejects_an_integer_angle_beyond_float64(field, value):
+    with pytest.raises(ValueError, match=f"^angle range must be finite, got {field} int -?1000"):
+        Rotation2D(**{field: value})
+
+
 @pytest.mark.parametrize(
     "aug",
     [GaussianNoise(0.5), GaussianNoise(0.0), GaussianNoise(1 / 3), Rotation2D(), Rotation2D(-0.1, 2.5e-7),

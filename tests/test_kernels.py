@@ -156,6 +156,15 @@ def test_kernel_spec_names_a_gamma_that_is_not_a_real_number(kind, gamma, type_n
         KernelSpec(kind, gamma)
 
 
+@pytest.mark.parametrize("gamma", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_kernel_spec_rejects_an_integer_gamma_beyond_float64(kind, gamma):
+    # such an int compares below inf, and gram then failed with OverflowError converting it
+    with pytest.raises(ValueError, match="^gamma must be finite, positive for rbf, got int "):
+        KernelSpec(kind, gamma)
+    assert KernelSpec(kind, 10**300).gamma == 10**300  # a large int that float64 holds stays valid
+
+
 def test_kernel_spec_gamma_bounds():
     with pytest.raises(ValueError, match="positive for rbf"):
         KernelSpec("rbf", 0.0)

@@ -156,6 +156,14 @@ def test_train_config_names_a_field_of_the_wrong_type(field, value, type_name):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "adam_eps", "lam"])
+def test_train_config_rejects_an_integer_beyond_float64(field):
+    # such an int compares below inf, and fit then failed with OverflowError converting it
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite.*, got int 1000"):
+        TrainConfig(**{field: 10**400})
+    assert getattr(TrainConfig(**{field: 10**300}), field) == 10**300
+
+
 def test_train_config_takes_any_integer_epochs_and_reports_them():
     cfg = TrainConfig(epochs=np.int64(3), objective="rim")
     assert type(cfg.epochs) is int and cfg.epochs == 3

@@ -1,14 +1,16 @@
 """The O(n^2) layer on the kernel thread pool against its serial path, byte for byte.
 
 `kernels._map` runs whole calls on the pool: runs of row blocks of the
-distance epilogue of `gram`, `pairwise_sq_dist` and the silhouette's distance
-build, runs of row blocks of the silhouette's per-cluster walk over its
-distances, and one `G @ v` per MMD-GEMINI cluster. Every row-block pass goes
-through `kernels._for_row_blocks`, which hands `_map` the size of its n x m
-matrix, and `_map` alone decides whether the calls go on the pool.
-Here the worker count is set to 1, 2 and 3 and the size floor to 0, so that
-small inputs run on the pool, with uneven runs of blocks, a one-row last
-block and empty inputs.
+distance build of `gram`, `pairwise_sq_dist` and the silhouette, each block
+its own gemm `(2X)[rows] Y^T` and epilogue, runs of row blocks of the
+silhouette's per-cluster walk over its distances, and one `G @ v` per
+MMD-GEMINI cluster. Every row-block pass goes through
+`kernels._for_row_blocks`, which hands `_map` the size of its n x m matrix,
+and `_map` alone decides whether the calls go on the pool. The row blocks
+are the same on any number of workers, so the bits are too. Here the worker
+count is set to 1, 2 and 3 and the size floor to 0, so that small inputs run
+on the pool, with uneven runs of blocks, a one-row last block and empty
+inputs.
 """
 
 import os
@@ -194,6 +196,18 @@ def test_silhouette_on_the_pool_keeps_its_serial_bits_to_a_one_row_last_block(mo
         return silhouette(X, labels)[1], silhouette(D, labels, precomputed=True)[1]
 
     serial, threaded = _serial(monkeypatch, scores), _threaded(monkeypatch, workers, scores)
+    assert all(_same_bytes(a, b) for a, b in zip(serial, threaded))
+
+
+def test_a_non_square_build_on_the_pool_keeps_its_serial_bits_to_a_one_row_last_block(monkeypatch):
+    gen = np.random.default_rng(6)
+    X, Y = gen.normal(size=(787, 2)), gen.normal(size=(500, 2))
+    assert 787 % (kernels._BLOCK_BYTES // (8 * 500)) == 1  # 3 row blocks of 262 rows, then one of 1 row
+
+    def build():
+        return pairwise_sq_dist(X, Y), gram(X, Y, KernelSpec("rbf", 0.5)).values
+
+    serial, threaded = _serial(monkeypatch, build), _threaded(monkeypatch, 2, build)
     assert all(_same_bytes(a, b) for a, b in zip(serial, threaded))
 
 
