@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.errors import NumericError
+from miclust.errors import NumericError, integer
 from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
 from miclust.metrics import _int_labels
 
@@ -57,10 +57,9 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
     the earliest restart.
     """
     X = np.asarray(X, dtype=np.float64)
+    K, n_init, max_iter = integer("K", K, 1), integer("n_init", n_init, 1), integer("max_iter", max_iter, 1)
     if K > X.shape[0]:
         raise ValueError(f"K={K} exceeds the number of samples n={X.shape[0]}")
-    if K < 1 or n_init < 1 or max_iter < 1:
-        raise ValueError("K, n_init and max_iter must be >= 1")
     gen = make_rng(rng)
     best = None
     for _ in range(n_init):

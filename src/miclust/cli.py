@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from miclust import baselines, contrastive as contrastive_mod, data as data_mod, metrics as metrics_mod
-from miclust.errors import NumericError
+from miclust.errors import NumericError, integer, number
 from miclust.kernels import KERNEL_KINDS, KernelSpec, gram
 from miclust.models import MlpModel, init_model, load_model
 from miclust.optim import OBJECTIVES, FitReport, TrainConfig, fit
@@ -95,8 +95,7 @@ def _run_model(args, X: data_mod.DataMatrix):
     # an id names a model kind, with "-rim" spelling out the objective its kind defaults to
     kind = args.model.removesuffix("-rim")
     # checked for every id, so no flag is silently ignored by the ids it does not apply to
-    if args.hidden < 1 or args.n_init < 1:
-        raise ValueError(f"--hidden and --n-init must be >= 1, got {args.hidden} and {args.n_init}")
+    integer("--hidden", args.hidden, 1), integer("--n-init", args.n_init, 1)
     if args.objective is not None and kind in ("kmeans", "spectral"):
         raise ValueError(f"--objective does not apply to --model {kind}, a baseline with no training objective")
     if args.objective not in (None, "rim") and args.model.endswith("-rim"):
@@ -140,10 +139,9 @@ def cmd_boundary(args) -> int:
     doc = json.loads(Path(args.model).read_text())
     if isinstance(doc, dict) and "kind" not in doc and "model" in doc:
         doc = doc["model"]  # accept a full report.json too
-    if args.resolution < 1:
-        raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
-    if not np.isfinite([args.xmin, args.xmax, args.ymin, args.ymax]).all():
-        raise ValueError("grid bounds --xmin, --xmax, --ymin and --ymax must be finite")
+    integer("--resolution", args.resolution, 1)
+    for bound in ("xmin", "xmax", "ymin", "ymax"):
+        number(f"--{bound}", getattr(args, bound), "finite")
     model = load_model(doc)
     if not args.critic and model.n_clusters < 2:
         raise ValueError(f"boundary exports p(cluster 2), so it needs a model with k >= 2, got k={model.n_clusters}")

@@ -8,13 +8,12 @@ Clusters are extracted as the per-sample argmax of the critic outputs.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from miclust.data import make_rng
+from miclust.errors import integer, number
 from miclust.kernels import _row_reduce
 from miclust.models import MlpModel
 from miclust.optim import FitReport, TrainConfig, _as_values, _train
@@ -27,9 +26,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        # against the largest float, not inf: a Python int such as 10**400 is below inf, but no float64
-        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma <= sys.float_info.max):
-            raise ValueError(f"sigma must be finite and >= 0, got {type(self.sigma).__name__} {self.sigma!r}")
+        object.__setattr__(self, "sigma", number("sigma", self.sigma, "finite and >= 0", lambda v: v >= 0))
 
     def describe(self) -> str:
         return f"noise:{self.sigma}"
@@ -43,9 +40,8 @@ class Rotation2D:
     hi: float = 2 * np.pi
 
     def __post_init__(self):
-        for name, value in (("lo", self.lo), ("hi", self.hi)):
-            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):  # 10**400 is no float64
-                raise ValueError(f"angle range must be finite, got {name} {type(value).__name__} {value!r}")
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, number(name, getattr(self, name), "a finite angle"))
         if self.lo > self.hi:
             raise ValueError(f"angle range is empty: [{self.lo}, {self.hi}]")
 
@@ -72,8 +68,7 @@ def init_critic(d: int, hidden: int = 20, k: int = 2, rng=0) -> MlpModel:
     uniform draw with nonzero biases spreads those orientations well, where
     zero-bias gaussian inits concentrate them near the axes.
     """
-    if d < 1 or hidden < 1 or k < 1:
-        raise ValueError("d, hidden and k must all be >= 1")
+    d, hidden, k = integer("d", d, 1), integer("hidden", hidden, 1), integer("k", k, 1)
     gen = make_rng(rng)
     b1 = 1.5 / np.sqrt(d)
     b2 = 1.5 / np.sqrt(hidden)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from miclust.errors import integer, number
 from miclust.metrics import _int_labels
 
 
@@ -62,12 +63,9 @@ def make_circles(n: int, noise: float, factor: float, rng=0) -> DataMatrix:
     the circle of radius `factor` (label 1), angles equally spaced, then
     i.i.d. N(0, noise^2) added per coordinate.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
-    if not (0 < factor < 1):
-        raise ValueError(f"factor must lie in (0, 1), got {factor}")
+    n = integer("n", n, 2)
+    noise = number("noise", noise, "finite and >= 0", lambda v: v >= 0)
+    factor = number("factor", factor, "in (0, 1)", lambda v: 0 < v < 1)
     gen = make_rng(rng)
     n_out = (n + 1) // 2
     n_in = n // 2

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import functools
-import numbers
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from miclust.errors import number
 
 KERNEL_KINDS = ("linear", "rbf")
 
@@ -22,14 +22,11 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.gamma, np.generic):  # a numpy number would not serialize into a report
-            object.__setattr__(self, "gamma", self.gamma.item())
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        gamma = self.gamma if isinstance(self.gamma, numbers.Real) else np.nan  # a non-number is named below
-        finite = abs(gamma) <= sys.float_info.max  # not < inf: a Python int such as 10**400 is below inf, no float64
-        if self.gamma is not None and not (finite and (gamma > 0 or self.kind != "rbf")):
-            raise ValueError(f"gamma must be finite, positive for rbf, got {type(self.gamma).__name__} {self.gamma!r}")
+        if self.gamma is not None:  # stored as its Python number, so a report serializes it
+            rule, ok = "finite, positive for rbf", lambda v: v > 0 or self.kind != "rbf"
+            object.__setattr__(self, "gamma", number("gamma", self.gamma, rule, ok))
 
     def resolve(self, X: np.ndarray) -> "KernelSpec":
         """Fill in the default gamma from the data when unset."""

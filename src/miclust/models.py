@@ -21,6 +21,7 @@ import re
 import numpy as np
 
 from miclust.data import make_rng
+from miclust.errors import integer, number
 from miclust.kernels import KernelSpec, _row_reduce, gram
 
 
@@ -271,18 +272,14 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         return source[key]
 
     gen = make_rng(rng)
-    K = need(dims, "k")
-    if K < 1:
-        raise ValueError(f"k must be >= 1, got {K}")
+    K = integer("k", need(dims, "k"), 1)
+    scale = None if scale is None else number("scale", scale, "finite and >= 0", lambda v: v >= 0)
 
     def draw(shape, fan_in):
-        s = scale if scale is not None else 1.0 / math.sqrt(fan_in)
-        if s < 0:
-            raise ValueError(f"scale must be >= 0, got {s}")
-        return gen.normal(0.0, 1.0, size=shape) * s
+        return gen.normal(0.0, 1.0, size=shape) * (scale if scale is not None else 1.0 / math.sqrt(fan_in))
 
     if kind == "linear":
-        d = need(dims, "d")
+        d = integer("d", need(dims, "d"), 1)
         return LinearModel(draw((d, K), d), np.zeros(K))
     if kind == "kernel":
         X_ref = np.asarray(need(kwargs, "X_ref"), dtype=np.float64)
@@ -294,9 +291,7 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         # default scale is 1/n_ref, i.e. a fan-in of n_ref**2
         return KernelModel(draw((n_ref, K), n_ref**2), np.zeros(K), X_ref, spec)
     if kind == "mlp":
-        d, H = need(dims, "d"), dims.get("hidden", 20)
-        if H < 1:
-            raise ValueError(f"hidden width must be >= 1, got {H}")
+        d, H = integer("d", need(dims, "d"), 1), integer("hidden", dims.get("hidden", 20), 1)
         return MlpModel(draw((d, H), d), np.zeros(H), draw((H, K), H), np.zeros(K))
     X = np.asarray(need(kwargs, "X"), dtype=np.float64)  # nonparametric, the one kind left
     return NonparametricModel(draw((X.shape[0], K), 1), dataset_fingerprint(X))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from miclust.errors import number
 from miclust.kernels import KernelMatrix, _map
 
 # floor inside logs so that the 0*log(0) := 0 convention is numerically safe
@@ -81,8 +82,7 @@ def rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
     `weights` maps parameter names to weight matrices; biases must not be
     included. The returned `grad_params` holds -2*lam*W per entry.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    lam = number("lambda", lam, "finite and >= 0", lambda v: v >= 0)
     base = mi(P)
     penalty = sum(float(np.square(W).sum()) for W in weights.values())
     grad_params = {name: -2.0 * lam * np.asarray(W) for name, W in weights.items()}

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from miclust.data import DataMatrix
-from miclust.errors import NumericError
+from miclust.errors import NumericError, integer, number
 from miclust.kernels import KernelMatrix, KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel, softmax, softmax_backward
 from miclust.objectives import mi, mmd_gemini_ova, rim
@@ -22,6 +20,13 @@ OBJECTIVES = {
     "rim": (False, lambda model, P, lam, G: rim(P, {k: getattr(model, k) for k in model.weight_keys}, lam)),
     "mmd-gemini": (True, lambda model, P, lam, G: mmd_gemini_ova(P, G)),
 }
+
+
+def _objective(name) -> tuple:
+    """The OBJECTIVES entry of `name`; any other name raises ValueError."""
+    if isinstance(name, str) and name in OBJECTIVES:
+        return OBJECTIVES[name]
+    raise ValueError(f"objective must be one of {tuple(OBJECTIVES)}, got {type(name).__name__} {name!r}")
 
 
 @dataclass
@@ -39,28 +44,16 @@ class TrainConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        def invalid(name, rule):
-            value = getattr(self, name)
-            return ValueError(f"{name} must be {rule}, got {type(value).__name__} {value!r}")
-
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
-            raise invalid("epochs", "an integer >= 0")
-        kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str, "KernelSpec | None": KernelSpec | None}
-        for f in fields(self):  # by its annotation, a string in this module, before any comparison can fail on it
-            if not isinstance(value := getattr(self, f.name), kinds[f.type]):
-                raise invalid(f.name, f.type)
-            setattr(self, f.name, value.item() if isinstance(value, np.generic) else value)  # JSON takes Python numbers
-        top = sys.float_info.max  # not inf: a Python int such as 10**400 is below inf, but no float64
-        if not 0 < self.learning_rate <= top:
-            raise invalid("learning_rate", "positive and finite")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if not 0 < self.adam_eps <= top:
-            raise invalid("adam_eps", "positive and finite")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}; expected one of {tuple(OBJECTIVES)}")
-        if not 0 <= self.lam <= top:
-            raise invalid("lam", "finite and >= 0")
+        self.epochs = integer("epochs", self.epochs, 0)
+        self.learning_rate = number("learning_rate", self.learning_rate, "positive and finite", lambda v: v > 0)
+        self.adam_beta1 = number("adam_beta1", self.adam_beta1, "in (0, 1)", lambda v: 0 < v < 1)
+        self.adam_beta2 = number("adam_beta2", self.adam_beta2, "in (0, 1)", lambda v: 0 < v < 1)
+        self.adam_eps = number("adam_eps", self.adam_eps, "positive and finite", lambda v: v > 0)
+        self.seed = number("seed", self.seed, "an integer", integral=True)
+        _objective(self.objective)
+        self.lam = number("lam", self.lam, "finite and >= 0", lambda v: v >= 0)
+        if not isinstance(self.kernel, KernelSpec | None):
+            raise ValueError(f"kernel must be a KernelSpec or None, got {type(self.kernel).__name__} {self.kernel!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,9 +128,7 @@ def _as_values(X) -> np.ndarray:
 
 def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: float = 0.0, gram_values=None):
     """Evaluate the named objective on the responsibilities of `model`."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    needs_gram, evaluate = OBJECTIVES[objective]
+    needs_gram, evaluate = _objective(objective)
     if needs_gram and gram_values is None:
         raise ValueError(f"{objective} requires a kernel Gram matrix of the training set")
     return evaluate(model, P, lam, gram_values)
@@ -145,7 +136,7 @@ def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: 
 
 def training_gram(X, objective: str, kernel: KernelSpec | None = None):
     """Training-set Gram (rbf by default) for an objective that needs one; None for the others."""
-    if objective not in OBJECTIVES or not OBJECTIVES[objective][0]:
+    if not _objective(objective)[0]:
         return None
     values = _as_values(X)
     return gram(values, values, kernel or KernelSpec("rbf"))
@@ -249,6 +240,7 @@ def check_gradients(
     Intended for small n; cost is two objective evaluations per scalar
     parameter.
     """
+    h, tol = (number(name, value, "positive and finite", lambda v: v > 0) for name, value in (("h", h), ("tol", tol)))
     values = _as_values(X)
     G = training_gram(values, objective, kernel)
     epoch = _objective_epoch(model, model.features(values), objective, lam, G)

@@ -107,7 +107,7 @@ def test_spectral_validation():
 
 def test_kmeans_rejects_max_iter_below_one():
     X = make_rng(0).normal(size=(10, 2))
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+    with pytest.raises(ValueError, match="^max_iter must be an integer >= 1, got int 0"):
         kmeans(X, 2, max_iter=0)
     labels, _, inertia = kmeans(X, 2, n_init=1, max_iter=1)
     assert labels.shape == (10,) and inertia >= 0.0

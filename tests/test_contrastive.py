@@ -218,7 +218,7 @@ def test_gaussian_noise_names_a_sigma_that_is_not_a_real_number(sigma, type_name
 @pytest.mark.parametrize("value,type_name", [("1", "str"), (None, "NoneType")])
 @pytest.mark.parametrize("field", ["lo", "hi"])
 def test_rotation_names_an_angle_that_is_not_a_real_number(field, value, type_name):
-    with pytest.raises(ValueError, match=f"angle range must be finite, got {field} {type_name} "):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite angle, got {type_name} "):
         Rotation2D(**{field: value})
 
 
@@ -231,7 +231,7 @@ def test_gaussian_noise_rejects_an_integer_sigma_beyond_float64():
 
 @pytest.mark.parametrize("field,value", [("lo", -10**400), ("hi", 10**400)], ids=["lo", "hi"])
 def test_rotation_rejects_an_integer_angle_beyond_float64(field, value):
-    with pytest.raises(ValueError, match=f"^angle range must be finite, got {field} int -?1000"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite angle, got int -?1000"):
         Rotation2D(**{field: value})
 
 
