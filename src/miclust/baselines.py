@@ -6,9 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.errors import NumericError, integer
+from miclust.errors import NumericError, integer, labeling, matrix
 from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
-from miclust.metrics import _int_labels
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
@@ -56,7 +55,7 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
     Returns (labels, centroids, inertia); ties between restarts resolve to
     the earliest restart.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = matrix("X", X, "an n x d matrix")
     K, n_init, max_iter = integer("K", K, 1), integer("n_init", n_init, 1), integer("max_iter", max_iter, 1)
     if K > X.shape[0]:
         raise ValueError(f"K={K} exceeds the number of samples n={X.shape[0]}")
@@ -76,12 +75,12 @@ def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
     Returns -sum_k (sum_{i,j in C_k} G_ij) / |C_k|; lower is better when
     minimized as written in centroid form.
     """
-    labels = _int_labels(labels)
-    G = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
-    if labels.size == 0:
+    labels = labeling("labels", labels)
+    n = labels.size
+    if n == 0:
         raise ValueError("kernel K-means score needs at least one labeled sample")
-    if G.shape[0] != labels.shape[0] or G.shape[0] != G.shape[1]:
-        raise ValueError("Gram matrix must be n x n on the labeled samples")
+    G = matrix("K", K.values if isinstance(K, KernelMatrix) else K, f"the {n} x {n} Gram matrix of the labels",
+               lambda s: s == (n, n))
     if (labels < 0).any():
         raise ValueError(f"labels must be >= 0, got {labels.min()}")
     score = 0.0
@@ -102,7 +101,7 @@ def spectral(X, K: int, affinity: KernelSpec | None = None, rng=0) -> np.ndarray
     K eigenvectors of smallest eigenvalues, row normalization, then K-means
     on the embedding.
     """
-    X = np.asarray(X, dtype=np.float64)
+    K, X = integer("K", K, 1), matrix("X", X, "an n x d matrix")
     n = X.shape[0]
     if K > n:
         raise ValueError(f"K={K} exceeds the number of samples n={n}")

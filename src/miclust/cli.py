@@ -22,9 +22,9 @@ from miclust.optim import OBJECTIVES, FitReport, TrainConfig, fit
 MODEL_IDS = ("kmeans", "spectral", "linear", "linear-rim", "kernel", "kernel-rim", "mlp", "nonparametric")
 
 
-def _parse_means(text: str) -> np.ndarray:
+def _parse_means(text: str) -> list:
     text = text.replace("−", "-")  # tolerate unicode minus
-    return np.asarray([[float(v) for v in part.split(",")] for part in text.split(";")])
+    return [[float(v) for v in part.split(",")] for part in text.split(";")]
 
 
 def _load_config_file(path: str) -> list[str]:
@@ -290,6 +290,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

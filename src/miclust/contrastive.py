@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.errors import integer, number
+from miclust.errors import integer, matrix, nonempty, number
 from miclust.kernels import _row_reduce
 from miclust.models import MlpModel
 from miclust.optim import FitReport, TrainConfig, _as_values, _train
@@ -82,13 +82,13 @@ def init_critic(d: int, hidden: int = 20, k: int = 2, rng=0) -> MlpModel:
 
 def augment(X: np.ndarray, aug, rng) -> np.ndarray:
     """Apply one random draw of the augmentation to every row."""
-    X = np.asarray(X, dtype=np.float64)
+    rotation = isinstance(aug, Rotation2D)
+    rule = "an n x 2 matrix, as rotation2d requires d=2" if rotation else "an n x d matrix"
+    X = matrix("X", X, rule, lambda s: len(s) == 2 and (s[1] == 2 or not rotation))
     gen = make_rng(rng)
     if isinstance(aug, GaussianNoise):
         return X + aug.sigma * gen.normal(0.0, 1.0, size=X.shape)
-    if isinstance(aug, Rotation2D):
-        if X.shape[1] != 2:
-            raise ValueError(f"rotation2d requires d=2, got d={X.shape[1]}")
+    if rotation:
         theta = gen.uniform(aug.lo, aug.hi)
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
@@ -108,10 +108,8 @@ def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
     softmax to similarity gradient. The operation order is fixed, so the
     loss and gradient stay bit-identical to the five-temporary expression.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    Z_aug = np.asarray(Z_aug, dtype=np.float64)
-    if Z.shape != Z_aug.shape:
-        raise ValueError(f"shape mismatch: {Z.shape} vs {Z_aug.shape}")
+    Z = matrix("Z", Z, "a non-empty n x k matrix", nonempty)
+    Z_aug = matrix("Z_aug", Z_aug, f"a matrix of Z's shape {Z.shape}", lambda s: s == Z.shape)
     # l2 row norms as np.linalg.norm(axis=1) computes them; a square that overflows makes its norm inf, raised below
     with np.errstate(over="ignore"):
         norms = np.sqrt(_row_reduce(np.add, Z * Z))

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from miclust.errors import integer, number
-from miclust.metrics import _int_labels
+from miclust.errors import integer, labeling, matrix, nonempty, number
 
 
 def make_rng(seed) -> np.random.Generator:
     """Return a PCG64 generator; ints are seeds, generators pass through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(integer("seed", seed, 0)))
 
 
 @dataclass
@@ -35,13 +34,11 @@ class DataMatrix:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise ValueError(f"values must be a non-empty 2-d matrix, got shape {self.values.shape}")
+        self.values = matrix("values", self.values, "a non-empty n x d matrix", nonempty)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
         if self.labels is not None:
-            self.labels = _int_labels(self.labels)
+            self.labels = labeling("labels", self.labels)
             if self.labels.shape != (self.values.shape[0],):
                 raise ValueError(
                     f"labels length {self.labels.shape} does not match n={self.values.shape[0]}"
@@ -81,16 +78,18 @@ def make_circles(n: int, noise: float, factor: float, rng=0) -> DataMatrix:
 
 def make_gaussian_blobs(means, stds, counts, rng=0) -> DataMatrix:
     """Isotropic Gaussian components; labels are the component index."""
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] < 1:
-        raise ValueError(f"means must be a K x d matrix, got shape {means.shape}")
-    K = means.shape[0]
-    stds = np.broadcast_to(np.asarray(stds, dtype=np.float64), (K,))
-    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (K,))
-    if np.any(stds <= 0):
-        raise ValueError("all stds must be positive")
-    if np.any(counts < 1):
-        raise ValueError("all counts must be >= 1")
+    means = matrix("means", means, "a non-empty K x d matrix", nonempty)
+    K = len(means)
+
+    def each(name, value, rule, ok, integral=False):
+        """One number per component, by the rule of `number`: one value for all, or K of them."""
+        values = np.asarray(value, dtype=object)
+        if values.shape not in ((), (K,)):
+            raise ValueError(f"{name} must be one value or {K}, got {type(value).__name__} of shape {values.shape}")
+        return [number(name, v, rule, ok, integral) for v in np.broadcast_to(values, (K,))]
+
+    stds = each("stds", stds, "finite and > 0", lambda v: v > 0)
+    counts = each("counts", counts, "an integer from 1 to 2**63 - 1", lambda v: 0 < v < 2**63, integral=True)
     gen = make_rng(rng)
     parts, labels = [], []
     for k in range(K):
@@ -153,4 +152,4 @@ def load_csv(path) -> DataMatrix:
                 labels.append(int(row[d]))
     if not values:
         raise ValueError(f"{path}: no data rows after the header")
-    return DataMatrix(np.asarray(values), np.asarray(labels) if has_label else None)
+    return DataMatrix(values, labels if has_label else None)

@@ -1,4 +1,4 @@
-"""The package's error type and the one rule for every number a caller sets."""
+"""The package's error type and the one rule each for every number, array and labeling a caller passes."""
 
 import numbers
 import sys
@@ -26,3 +26,43 @@ def number(name: str, value, rule: str, ok=lambda v: True, integral: bool = Fals
 def integer(name: str, value, least: int) -> int:
     """`value` by the rule of `number`, if it is an integer >= `least`."""
     return number(name, value, f"an integer >= {least}", lambda v: v >= least, integral=True)
+
+
+def _real(name: str, value, rule: str, ok) -> np.ndarray:
+    """np.asarray(value), if numpy reads it, with no warning, as an array of bools, integers or floats whose shape
+    `ok` accepts; else ValueError. So a ragged list, a complex, string or object array, or an int past int64 fails."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # a ragged list, or an object whose __array__ raises
+        a = None
+    if a is not None and a.dtype.kind in "biuf" and ok(a.shape):
+        return a
+    raise _invalid(name, value, rule, a)
+
+
+def _invalid(name: str, value, rule: str, a) -> ValueError:
+    got = "that numpy cannot read as an array" if a is None else f"of shape {a.shape} and dtype {a.dtype}"
+    return ValueError(f"{name} must be {rule}, got {type(value).__name__} {got}")
+
+
+def nonempty(shape: tuple) -> bool:
+    """Whether `shape` is that of a matrix with at least one row and one column: an `ok` for `matrix`."""
+    return len(shape) == 2 and 0 not in shape
+
+
+def matrix(name: str, value, rule: str, ok=lambda shape: len(shape) == 2) -> np.ndarray:
+    """`value` as a float64 array, if it is a real array by the rule of `_real` and `ok` holds of its shape.
+
+    Reads the type and shape only, never the entries, and copies nothing of a float64 array. Else ValueError.
+    """
+    return _real(name, value, rule, ok).astype(np.float64, copy=False)
+
+
+def labeling(name: str, value) -> np.ndarray:
+    """`value` as 1-d int64, if it is a 1-d real array that the cast leaves unchanged (no 0.5, NaN or 1e30)."""
+    a = _real(name, value, "1-d integers", lambda shape: len(shape) == 1)
+    with np.errstate(invalid="ignore"):  # a NaN or an out-of-range value casts to garbage, caught below
+        out = a.astype(np.int64, copy=False)
+    if not (out == a).all():
+        raise _invalid(name, value, "1-d integers", a)
+    return out

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from miclust.errors import number
+from miclust.errors import matrix, nonempty, number
 
 KERNEL_KINDS = ("linear", "rbf")
 
@@ -107,10 +107,10 @@ def _for_row_blocks(n: int, m: int, body) -> None:
 def _matrices(X, Y) -> tuple:
     """X and Y as matrices in C order whatever the layout given, so the bits depend on the values alone (BLAS sums
     by layout)."""
-    X, Y = np.ascontiguousarray(X, dtype=np.float64), np.ascontiguousarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ValueError(f"need two 2-d sample matrices of equal dimension, got shapes {X.shape} and {Y.shape}")
-    return X, Y
+    Y = np.ascontiguousarray(matrix("Y", Y, "an m x d matrix"))
+    d = Y.shape[1]  # Y first, so a kernel head's X of the wrong width is the one named
+    X = matrix("X", X, f"an n x {d} matrix, as Y is m x {d}", lambda s: len(s) == 2 and s[1] == d)
+    return np.ascontiguousarray(X), Y
 
 
 def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
@@ -148,9 +148,7 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
 
 def default_gamma(X: np.ndarray) -> float:
     """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"data of shape {X.shape} is not a matrix or is empty; cannot derive a default gamma")
+    X = np.ascontiguousarray(matrix("X", X, "a non-empty n x d matrix to derive a default gamma from", nonempty))
     var = X.var()
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")

@@ -4,22 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from miclust.errors import labeling, matrix
 from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks
-
-
-def _int_labels(labels) -> np.ndarray:
-    """A labeling as 1-d int64; a value that the cast would change, such as 0.5 or NaN, raises ValueError."""
-    raw = np.asarray(labels)
-    with np.errstate(invalid="ignore"):  # a NaN or an out-of-range value casts to garbage, caught below
-        out = raw.astype(np.int64, copy=False)
-    if raw.ndim != 1 or not (out == raw).all():
-        raise ValueError(f"labels must be 1-d integers, got {raw.dtype} of shape {raw.shape}")
-    return out
 
 
 def contingency(a, b) -> np.ndarray:
     """Count matrix between two labelings over the same samples."""
-    a, b = _int_labels(a), _int_labels(b)
+    a, b = labeling("a", a), labeling("b", b)
     if a.shape != b.shape:
         raise ValueError("labelings must be 1-d and of equal length")
     _, ai = np.unique(a, return_inverse=True)
@@ -65,15 +56,10 @@ def silhouette(X, labels, precomputed: bool = False):
     samples where both Intra and Outer vanish. Non-finite data or
     distances, and sums of distances that overflow float64, raise ValueError.
     """
-    labels = _int_labels(labels)
-    D = np.asarray(X, dtype=np.float64)
+    labels = labeling("labels", labels)
     n = labels.size
-    if D.ndim != 2:
-        raise ValueError(f"X must be 2-d, got shape {D.shape}")
-    if len(D) != n:
-        raise ValueError(f"X has {len(D)} rows but there are {n} labels")
-    if precomputed and D.shape != (n, n):
-        raise ValueError("precomputed distance matrix must be n x n")
+    rule = f"an n x {'n distance' if precomputed else 'd'} matrix, one row per label, n={n}"
+    D = matrix("X", X, rule, lambda s: len(s) == 2 and s[0] == n and (s[1] == n or not precomputed))
     uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")

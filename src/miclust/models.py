@@ -21,7 +21,7 @@ import re
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.errors import integer, number
+from miclust.errors import integer, matrix, number
 from miclust.kernels import KernelSpec, _row_reduce, gram
 
 
@@ -38,13 +38,6 @@ def softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     if not np.isfinite(dP).all():
         raise ValueError("gradient w.r.t. responsibilities contains non-finite entries")
     return P * (dP - _row_reduce(np.add, dP * P))
-
-
-def _checked_input(X, d: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError(f"input of shape {X.shape} is not n x d: its dimension does not match model d={d}")
-    return X
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -67,8 +60,10 @@ class ClusterModel:
         return {name: getattr(self, name) for name in self.param_names}
 
     def features(self, X: np.ndarray) -> np.ndarray:
-        """Validate X and map it to the parameter-free input of the head."""
-        raise NotImplementedError
+        """Validate X and map it to the parameter-free input of the head; by default X itself, an n x d matrix whose
+        d is the first parameter's row count."""
+        d = getattr(self, self.param_names[0]).shape[0]
+        return matrix("X", X, f"an n x {d} matrix", lambda s: len(s) == 2 and s[1] == d)
 
     def head(self, F: np.ndarray) -> tuple:
         """Logits of features F, plus the intermediates `head_backward` reuses."""
@@ -126,14 +121,10 @@ class LinearModel(ClusterModel):
     weight_keys = ("W",)
 
     def __init__(self, W: np.ndarray, b: np.ndarray):
-        self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
-            raise ValueError(f"{self.weight_keys[0]} must be a 2-d matrix with K columns and b of length K")
+        self.W = matrix(self.weight_keys[0], W, "a d x K matrix")
+        K = self.W.shape[1]
+        self.b = matrix("b", b, f"a vector of length K={K}", lambda s: s == (K,))
         _check_finite(self.W, self.b)
-
-    def features(self, X):
-        return _checked_input(X, self.W.shape[0])
 
     def head(self, F):
         return F @ self.W + self.b, None
@@ -152,9 +143,9 @@ class KernelModel(LinearModel):
 
     def __init__(self, A: np.ndarray, b: np.ndarray, X_ref: np.ndarray, spec: KernelSpec):
         super().__init__(A, b)
-        self.X_ref = np.asarray(X_ref, dtype=np.float64)
-        if self.X_ref.ndim != 2 or self.X_ref.shape[0] != self.W.shape[0]:
-            raise ValueError("X_ref must be n_ref x d, one row per row of A")
+        n_ref = len(self.W)  # one row per row of A
+        self.X_ref = matrix("X_ref", X_ref, f"an n_ref x d matrix, n_ref={n_ref}",
+                            lambda s: len(s) == 2 and s[0] == n_ref)
         _check_finite(self.X_ref)
         self.spec = spec.resolve(self.X_ref)
 
@@ -183,18 +174,13 @@ class MlpModel(ClusterModel):
     weight_keys = ("W1", "W2")
 
     def __init__(self, W1, b1, W2, b2):
-        self.W1 = np.asarray(W1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.W2 = np.asarray(W2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-        if self.W1.ndim != 2 or self.W2.ndim != 2 or self.W1.shape[1] != self.W2.shape[0]:
-            raise ValueError("hidden dimensions of W1 and W2 disagree")
-        if self.b1.shape != (self.W1.shape[1],) or self.b2.shape != (self.W2.shape[1],):
-            raise ValueError("bias shapes do not match weights")
+        self.W1 = matrix("W1", W1, "a d x H matrix")
+        H = self.W1.shape[1]
+        self.b1 = matrix("b1", b1, f"a vector of length H={H}", lambda s: s == (H,))
+        self.W2 = matrix("W2", W2, f"an H x K matrix with H={H}", lambda s: len(s) == 2 and s[0] == H)
+        K = self.W2.shape[1]
+        self.b2 = matrix("b2", b2, f"a vector of length K={K}", lambda s: s == (K,))
         _check_finite(self.W1, self.b1, self.W2, self.b2)
-
-    def features(self, X):
-        return _checked_input(X, self.W1.shape[0])
 
     def head(self, F):
         pre = F @ self.W1 + self.b1
@@ -213,7 +199,7 @@ class MlpModel(ClusterModel):
 
 
 def dataset_fingerprint(X: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(matrix("X", X, "an n x d matrix")).tobytes()).hexdigest()
 
 
 class NonparametricModel(ClusterModel):
@@ -228,17 +214,15 @@ class NonparametricModel(ClusterModel):
     extra_keys = ("fingerprint",)
 
     def __init__(self, L: np.ndarray, fingerprint: str):
-        self.L = np.asarray(L, dtype=np.float64)
-        if self.L.ndim != 2:
-            raise ValueError("L must be n x K")
+        self.L = matrix("L", L, "an n x K matrix")
         _check_finite(self.L)
         if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
             raise ValueError(f"fingerprint must be the 64 hex digits dataset_fingerprint writes, got {fingerprint!r}")
         self.fingerprint = fingerprint
 
     def features(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.L.shape[0] or dataset_fingerprint(X) != self.fingerprint:
+        X = matrix("X", X, "an n x d matrix")
+        if len(X) != len(self.L) or dataset_fingerprint(X) != self.fingerprint:
             raise ValueError("nonparametric model does not generalise: X is not the bound training set")
         return X
 
@@ -282,9 +266,9 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
         d = integer("d", need(dims, "d"), 1)
         return LinearModel(draw((d, K), d), np.zeros(K))
     if kind == "kernel":
-        X_ref = np.asarray(need(kwargs, "X_ref"), dtype=np.float64)
+        X_ref = matrix("X_ref", need(kwargs, "X_ref"), "an n_ref x d matrix")
         spec = kwargs.get("spec") or KernelSpec("rbf")
-        n_ref = X_ref.shape[0]
+        n_ref = len(X_ref)
         # kernel features are O(1) each and there are n_ref of them, so the
         # logits need a much smaller init than 1/sqrt(n_ref) to start near the
         # uniform responsibilities that gradient ascent escapes cleanly: the
@@ -293,8 +277,8 @@ def init_model(kind: str, dims: dict, scale: float | None = None, rng=0, **kwarg
     if kind == "mlp":
         d, H = integer("d", need(dims, "d"), 1), integer("hidden", dims.get("hidden", 20), 1)
         return MlpModel(draw((d, H), d), np.zeros(H), draw((H, K), H), np.zeros(K))
-    X = np.asarray(need(kwargs, "X"), dtype=np.float64)  # nonparametric, the one kind left
-    return NonparametricModel(draw((X.shape[0], K), 1), dataset_fingerprint(X))
+    X = matrix("X", need(kwargs, "X"), "an n x d matrix")  # nonparametric, the one kind left
+    return NonparametricModel(draw((len(X), K), 1), dataset_fingerprint(X))
 
 
 def load_model(doc) -> ClusterModel:
@@ -319,7 +303,4 @@ def load_model(doc) -> ClusterModel:
     missing = [key for key in cls.extra_keys if key not in doc]
     if missing:
         raise ValueError(f"{cls.kind} model document lacks {missing}")
-    try:
-        return cls._from_doc([np.asarray(params[name], dtype=np.float64) for name in cls.param_names], doc)
-    except TypeError as exc:  # a value of the wrong JSON type, such as an object where numbers belong
-        raise ValueError(f"malformed {cls.kind} model document: {exc}") from exc
+    return cls._from_doc([params[name] for name in cls.param_names], doc)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from miclust.errors import number
+from miclust.errors import matrix, nonempty, number
 from miclust.kernels import KernelMatrix, _map
 
 # floor inside logs so that the 0*log(0) := 0 convention is numerically safe
@@ -37,10 +37,7 @@ class ObjectiveValue:
 
 
 def _check_resp(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2 or 0 in P.shape:
-        raise ValueError(f"responsibilities must be an n x K matrix with K >= 1 and n >= 1, got shape {P.shape}")
-    return P
+    return matrix("P", P, "an n x K matrix with K >= 1 and n >= 1", nonempty)
 
 
 def proportions(P: np.ndarray) -> np.ndarray:
@@ -97,10 +94,9 @@ def mmd_gemini_ova(P: np.ndarray, K: KernelMatrix) -> ObjectiveValue:
     MMD_k = sqrt((alpha_k - beta)^T Gram (alpha_k - beta)).
     """
     P = _check_resp(P)
-    G = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
     n, nk = P.shape
-    if G.shape != (n, n):
-        raise ValueError(f"Gram matrix shape {G.shape} does not match n={n}")
+    G = matrix("K", K.values if isinstance(K, KernelMatrix) else K, "an n x n Gram matrix, n = P's rows",
+               lambda s: s == (n, n))
     pbar = P.sum(axis=0) / n
     beta = np.full(n, 1.0 / n)
     value = 0.0

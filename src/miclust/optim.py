@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from miclust.data import DataMatrix
-from miclust.errors import NumericError, integer, number
+from miclust.errors import NumericError, integer, matrix, number
 from miclust.kernels import KernelMatrix, KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel, softmax, softmax_backward
 from miclust.objectives import mi, mmd_gemini_ova, rim
@@ -49,7 +49,7 @@ class TrainConfig:
         self.adam_beta1 = number("adam_beta1", self.adam_beta1, "in (0, 1)", lambda v: 0 < v < 1)
         self.adam_beta2 = number("adam_beta2", self.adam_beta2, "in (0, 1)", lambda v: 0 < v < 1)
         self.adam_eps = number("adam_eps", self.adam_eps, "positive and finite", lambda v: v > 0)
-        self.seed = number("seed", self.seed, "an integer", integral=True)
+        self.seed = integer("seed", self.seed, 0)
         _objective(self.objective)
         self.lam = number("lam", self.lam, "finite and >= 0", lambda v: v >= 0)
         if not isinstance(self.kernel, KernelSpec | None):
@@ -121,9 +121,7 @@ class Adam:
 
 
 def _as_values(X) -> np.ndarray:
-    if isinstance(X, DataMatrix):
-        return X.values
-    return np.asarray(X, dtype=np.float64)
+    return X.values if isinstance(X, DataMatrix) else matrix("X", X, "an n x d matrix")
 
 
 def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: float = 0.0, gram_values=None):

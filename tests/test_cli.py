@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -307,13 +308,14 @@ def test_io_error_exit_code(tmp_path):
     assert main(["fit", "--config", str(tmp_path / "missing.cfg"), "--model", "kmeans"]) == 4
 
 
-def run_cli(*argv):
-    """Run the CLI as a user does, in a fresh interpreter whose warnings are errors, so none can precede an exit."""
+def run_cli(*argv, **options):
+    """Run the CLI as a user does, in a fresh interpreter whose warnings are errors, so none can precede an exit;
+    options go to subprocess.run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
                PYTHONWARNINGS="error")
     return subprocess.run(
-        [sys.executable, "-m", "miclust.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "miclust.cli", *argv], capture_output=True, text=True, env=env, timeout=120, **options
     )
 
 
@@ -387,7 +389,7 @@ def test_boundary_zero_resolution_exits_2_without_traceback(tmp_path):
 @pytest.mark.parametrize(
     "flags,W,message",
     [(["--critic"], [[0.0, 0.0], [0.0, 0.0]], "--critic expects an mlp"),
-     ([], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "does not match model d=3")],
+     ([], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "X must be an n x 3 matrix, got ndarray of shape (9, 2)")],
     ids=["critic-on-linear", "d3-model"],
 )
 def test_boundary_failure_leaves_no_grid_file(tmp_path, flags, W, message):
@@ -406,8 +408,9 @@ def test_boundary_failure_leaves_no_grid_file(tmp_path, flags, W, message):
     [{"kind": "linear"}, [1, 2],
      {"config": {"model": "spectral"}, "labels": [0, 1], "model": {"kind": "spectral"}},
      {"config": {"model": "kmeans"}, "labels": [0, 1],
-      "model": {"kind": "kmeans", "centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.5}}],
-    ids=["no-params", "list", "spectral-report", "kmeans-report"],
+      "model": {"kind": "kmeans", "centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.5}},
+     {"kind": "linear", "params": {"W": [[10**400, 0], [0, 1]], "b": [0, 0]}}],
+    ids=["no-params", "list", "spectral-report", "kmeans-report", "400-digit-weight"],
 )
 def test_boundary_malformed_model_exits_2_without_traceback(tmp_path, doc):
     model_path = tmp_path / "model.json"
@@ -428,6 +431,33 @@ def test_boundary_one_cluster_model_exits_2_without_traceback(tmp_path, circles_
     assert "Traceback" not in proc.stderr
     assert "k >= 2" in proc.stderr
     assert not grid.exists()
+
+
+def _address_space_of_2_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space with RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv,output",
+    [(["generate", "circles", "--n", "100000000000"], ["--out", "data.csv"]),
+     (["fit", "--model", "mlp", "--hidden", "100000000000", "--epochs", "2"], ["--out-dir", "run"]),
+     (["boundary", "--model", "{report}", "--resolution", "100000"], ["--out", "grid.csv"])],
+    ids=["generate", "fit", "boundary"],
+)
+def test_running_out_of_memory_exits_3_without_traceback(tmp_path, circles_csv, argv, output):
+    # each exited 1 with numpy's _ArrayMemoryError traceback
+    report = tmp_path / "fitted" / "report.json"
+    assert main(["fit", "--model", "linear", "--epochs", "2", "--data", str(circles_csv),
+                 "--out-dir", str(report.parent)]) == 0
+    argv = [part.replace("{report}", str(report)) for part in argv]
+    if argv[0] == "fit":
+        argv += ["--data", str(circles_csv)]
+    target = tmp_path / output[1]
+    proc = run_cli(*argv, output[0], str(target), preexec_fn=_address_space_of_2_gb)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("value", ["true", "false"])

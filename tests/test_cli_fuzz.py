@@ -108,6 +108,8 @@ def inputs(tmp_path):
     texts = {"empty.csv": "", "ragged.csv": "f0,f1\n1,2\n3\n", "words.csv": "f0,f1\na,b\n",
              "constant.csv": "f0,f1\n1,1\n1,1\n1,1\n", "bad.json": "{not json", "list.json": "[1, 2]",
              "no_params.json": '{"kind": "linear"}', "odd.cfg": "epochs 3\n= 2\n",
+             # a 400-digit integer parameter, past float64, exited 1 with an OverflowError traceback
+             "huge.json": '{"kind": "linear", "params": {"W": [[1%s, 0], [0, 1]], "b": [0, 0]}}' % ("0" * 399),
              "ok.cfg": "epochs = 2\nseed = 1\nstandardize = true\n"}
     for name, text in texts.items():
         (d / name).write_text(text)
@@ -129,6 +131,7 @@ def inputs(tmp_path):
         "data": [str(circles), str(one_d), missing, str(d)] + [str(d / n) for n in texts if n.endswith(".csv")],
         "model": list(models.values()) + [str(d / n) for n in texts if n.endswith(".json")] + [missing],
         "config": [str(d / "ok.cfg"), str(d / "odd.cfg"), missing],
+        "files": {name: str(d / name) for name in texts},
     }
 
 
@@ -140,17 +143,20 @@ def inputs(tmp_path):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-@example(data=["fit", "--model", "kernel", "--gamma", "1e308", "--epochs", "2"])
-@example(data=["fit", "--model", "linear", "--lr", "1e300", "--epochs", "5"])
-@example(data=["contrastive", "--aug", "noise:0.5", "--lr", "1e100", "--epochs", "5"])
+@example(data=(["fit", "--model", "kernel", "--gamma", "1e308", "--epochs", "2"], 0))
+@example(data=(["fit", "--model", "linear", "--lr", "1e300", "--epochs", "5"], 3))
+@example(data=(["contrastive", "--aug", "noise:0.5", "--lr", "1e100", "--epochs", "5"], 3))
+@example(data=(["boundary", "--model", "huge.json", "--resolution", "3"], 2))
 def test_cli_exit_code_contract(tmp_path, inputs, data):
     # the suite turns a numpy warning into an error, so no command may warn either
     out = {
         "file": [str(tmp_path / "out.csv"), str(tmp_path / "no" / "such" / "dir.csv"), str(tmp_path)],
         "dir": [str(tmp_path / "run"), str(tmp_path / "in" / "circles.csv")],
     }
-    if isinstance(data, list):  # an explicit example: a command and its flags, run on the circles input
-        argv = [*data, "--data", inputs["data"][0], "--out-dir", out["dir"][0]]
+    if isinstance(data, tuple):  # an explicit example: a command, its flags naming input files, and its exit code
+        argv, code = [inputs["files"].get(part, part) for part in data[0]], data[1]
+        fits = ["--data", inputs["data"][0], "--out-dir", out["dir"][0]]
+        argv += ["--out", out["file"][0]] if argv[0] == "boundary" else fits
+        assert main(argv) == code
     else:
-        argv = data.draw(command(inputs, out), label="argv")
-    assert main(argv) in (0, 2, 3, 4)
+        assert main(data.draw(command(inputs, out), label="argv")) in (0, 2, 3, 4)

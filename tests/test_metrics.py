@@ -1,5 +1,7 @@
 """Tests for the adjusted Rand index and silhouette score."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,8 @@ def test_silhouette_validation():
 def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows, n_labels, precomputed):
     monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
     X = np.zeros((rows, rows if precomputed else 2))
-    with pytest.raises(ValueError, match=f"X has {rows} rows but there are {n_labels} labels"):
+    width = rows if precomputed else 2
+    with pytest.raises(ValueError, match=rf"^X must be .*, n={n_labels}, got ndarray of shape \({rows}, {width}\)"):
         silhouette(X, np.arange(n_labels) % 2, precomputed=precomputed)
 
 
@@ -114,7 +117,7 @@ def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows,
 def test_silhouette_rejects_an_input_that_is_not_2d(monkeypatch, precomputed):
     monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
     for X in (np.zeros(4), np.zeros((4, 4, 1))):
-        with pytest.raises(ValueError, match=r"X must be 2-d, got shape"):
+        with pytest.raises(ValueError, match=rf"^X must be .*, got ndarray of shape {re.escape(str(X.shape))}"):
             silhouette(X, [0, 0, 1, 1], precomputed=precomputed)
 
 
@@ -221,11 +224,11 @@ NOT_INTEGER_LABELS = {"halves": [0.5, 1.5], "nan": [0.0, np.nan], "huge": [0.0, 
 
 @pytest.mark.parametrize("labels", NOT_INTEGER_LABELS.values(), ids=NOT_INTEGER_LABELS)
 def test_labels_that_a_cast_would_change_are_rejected(labels):
-    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+    with pytest.raises(ValueError, match=r"^a must be 1-d integers, got list of shape \(2,\)"):
         ari(labels, [0, 1])
-    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+    with pytest.raises(ValueError, match=r"^b must be 1-d integers, got list of shape \(2,\)"):
         ari([0, 1], labels)
-    with pytest.raises(ValueError, match="labels must be 1-d integers"):
+    with pytest.raises(ValueError, match=r"^labels must be 1-d integers, got list of shape \(2,\)"):
         silhouette(np.eye(2), labels)
 
 
@@ -237,7 +240,7 @@ def test_integral_labels_of_any_dtype_are_accepted():
 
 
 def test_labels_that_are_not_1d_are_rejected():
-    with pytest.raises(ValueError, match=r"labels must be 1-d integers, got int64 of shape \(1, 2\)"):
+    with pytest.raises(ValueError, match=r"^labels must be 1-d integers, got list of shape \(1, 2\) and dtype int64"):
         silhouette(np.zeros((2, 2)), [[0, 1]])
-    with pytest.raises(ValueError, match=r"labels must be 1-d integers, got int64 of shape \(2, 1\)"):
+    with pytest.raises(ValueError, match=r"^a must be 1-d integers, got list of shape \(2, 1\) and dtype int64"):
         contingency([[0], [1]], [0, 1])

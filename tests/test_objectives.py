@@ -153,7 +153,7 @@ def test_rim_rejects_a_negative_or_non_finite_lambda(lam):
     ids=["mi", "proportions", "fairness_firmness", "rim", "mmd_gemini_ova"],
 )
 def test_an_empty_responsibility_matrix_is_rejected(objective):
-    with pytest.raises(ValueError, match=r"n >= 1, got shape \(0, 2\)"):
+    with pytest.raises(ValueError, match=r"^P must be an n x K matrix .*, got ndarray of shape \(0, 2\)"):
         objective(np.empty((0, 2)))
 
 
@@ -164,5 +164,5 @@ def test_an_empty_responsibility_matrix_is_rejected(objective):
 )
 def test_a_responsibility_matrix_with_no_clusters_is_rejected(objective):
     # mi(np.empty((3, 0))) returned 0.0 with an empty gradient
-    with pytest.raises(ValueError, match=r"K >= 1 and n >= 1, got shape \(3, 0\)"):
+    with pytest.raises(ValueError, match=r"^P must be an n x K matrix with K >= 1 .*, got ndarray of shape \(3, 0\)"):
         objective(np.empty((3, 0)))

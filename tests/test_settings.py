@@ -16,9 +16,12 @@ from miclust import (
     init_model,
     kmeans,
     make_circles,
+    make_gaussian_blobs,
     rim,
+    spectral,
 )
 from miclust.contrastive import parse_augmentation
+from miclust.data import make_rng
 from miclust.errors import number
 from miclust.optim import evaluate_objective, training_gram
 
@@ -53,6 +56,11 @@ SETTINGS = {
     "kmeans.K": ("K", lambda v: kmeans(X, v)),
     "kmeans.n_init": ("n_init", lambda v: kmeans(X, 2, n_init=v)),
     "kmeans.max_iter": ("max_iter", lambda v: kmeans(X, 2, max_iter=v)),
+    "kmeans.rng": ("seed", lambda v: kmeans(X, 2, rng=v)),
+    "make_rng.seed": ("seed", make_rng),
+    "spectral.K": ("K", lambda v: spectral(X, v)),
+    "make_gaussian_blobs.stds": ("stds", lambda v: make_gaussian_blobs([[0.0, 0.0]], v, 5)),
+    "make_gaussian_blobs.counts": ("counts", lambda v: make_gaussian_blobs([[0.0, 0.0]], 1.0, v)),
     "check_gradients.h": ("h", lambda v: check_gradients(init_model("linear", LINEAR), "mi", X, h=v)),
     "check_gradients.tol": ("tol", lambda v: check_gradients(init_model("linear", LINEAR), "mi", X, tol=v)),
     "check_gradients.lam": ("lambda", lambda v: check_gradients(init_model("linear", LINEAR), "rim", X, lam=v)),
@@ -71,6 +79,38 @@ def test_every_numeric_setting_rejects_a_value_outside_the_rule(setting, value):
         warnings.simplefilter("error")  # a numpy warning before the check would raise instead of the ValueError
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {type(value).__name__} "):
             call(value)
+
+
+# PCG64 raised "expected non-negative integer", which does not name the seed; kmeans(X, 2, rng="a") raised TypeError
+@pytest.mark.parametrize(
+    "call", [lambda: TrainConfig(seed=-1), lambda: make_rng(-1), lambda: kmeans(X, 2, rng=-1)],
+    ids=["TrainConfig", "make_rng", "kmeans"],
+)
+def test_a_negative_seed_is_rejected(call):
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got int -1"):
+        call()
+
+
+def test_spectral_rejects_a_fractional_k_before_any_eigendecomposition(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("the Laplacian was decomposed"))
+    with pytest.raises(ValueError, match=r"^K must be an integer >= 1, got float 2.5"):
+        spectral(X, 2.5)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: make_gaussian_blobs([[0.0, 0.0]], 1.0, 2.5), "counts must be .*, got float 2.5"),
+     (lambda: make_gaussian_blobs([[0.0, 0.0]], 1.0, 10**30), "counts must be .*, got int 10{30}"),
+     (lambda: make_gaussian_blobs([[0.0, 0.0], [1.0, 1.0]], [1.0, float("nan")], 5), "stds must be .*, got float nan"),
+     (lambda: make_gaussian_blobs([[0.0, 0.0], [1.0, 1.0]], 1.0, [5, 0]), "counts must be .*, got int 0"),
+     (lambda: make_gaussian_blobs([[0.0, 0.0], [1.0, 1.0]], [1.0] * 3, 5),
+      r"stds must be one value or 2, got list of shape \(3,\)")],
+    ids=["fractional-count", "huge-count", "nan-std", "zero-count", "three-stds-for-two-means"],
+)
+def test_each_blob_component_follows_the_number_rule(call, message):
+    # a count of 2.5 made 2 points, 10**30 raised OverflowError, and a NaN std failed only as non-finite values
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 @pytest.mark.parametrize(
