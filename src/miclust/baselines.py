@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from miclust.data import make_rng
-from miclust.errors import NumericError, integer, labeling, matrix
+from miclust.errors import NumericError, integer, labeling, matrix, number
 from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
 
 
@@ -57,6 +57,7 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
     """
     X = matrix("X", X, "an n x d matrix")
     K, n_init, max_iter = integer("K", K, 1), integer("n_init", n_init, 1), integer("max_iter", max_iter, 1)
+    tol = number("tol", tol, "finite and >= 0", lambda v: v >= 0)
     if K > X.shape[0]:
         raise ValueError(f"K={K} exceeds the number of samples n={X.shape[0]}")
     gen = make_rng(rng)

@@ -80,20 +80,24 @@ def init_critic(d: int, hidden: int = 20, k: int = 2, rng=0) -> MlpModel:
     )
 
 
+def _checked(aug):
+    if isinstance(aug, GaussianNoise | Rotation2D):
+        return aug
+    raise ValueError(f"unknown augmentation {aug!r}")
+
+
 def augment(X: np.ndarray, aug, rng) -> np.ndarray:
     """Apply one random draw of the augmentation to every row."""
-    rotation = isinstance(aug, Rotation2D)
+    rotation = isinstance(_checked(aug), Rotation2D)
     rule = "an n x 2 matrix, as rotation2d requires d=2" if rotation else "an n x d matrix"
     X = matrix("X", X, rule, lambda s: len(s) == 2 and (s[1] == 2 or not rotation))
     gen = make_rng(rng)
-    if isinstance(aug, GaussianNoise):
+    if not rotation:
         return X + aug.sigma * gen.normal(0.0, 1.0, size=X.shape)
-    if rotation:
-        theta = gen.uniform(aug.lo, aug.hi)
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        return X @ rot.T
-    raise ValueError(f"unknown augmentation {aug!r}")
+    theta = gen.uniform(aug.lo, aug.hi)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return X @ rot.T
 
 
 def info_nce_loss(Z: np.ndarray, Z_aug: np.ndarray):
@@ -142,6 +146,7 @@ def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:
     The clean branch's features are built once; each epoch runs the critic's
     head on them once and backpropagates over the intermediates it kept.
     """
+    config = dict(cfg.to_dict(), model="critic", augmentation=_checked(aug).describe())
     values = _as_values(X)
     gen = make_rng(cfg.seed)
     F = critic.features(values)
@@ -157,7 +162,6 @@ def train_contrastive(critic: MlpModel, X, aug, cfg: TrainConfig) -> FitReport:
             return np.nan, None
         return loss, lambda: critic.head_backward(F, saved, -dZ)  # ascend the negated loss
 
-    config = dict(cfg.to_dict(), model="critic", augmentation=aug.describe())
     return _train(critic, cfg, epoch, lambda: critic.head(F)[0], config)
 
 

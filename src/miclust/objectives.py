@@ -81,8 +81,9 @@ def rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
     """
     lam = number("lambda", lam, "finite and >= 0", lambda v: v >= 0)
     base = mi(P)
+    weights = {name: matrix(name, W, "a weight matrix") for name, W in weights.items()}
     penalty = sum(float(np.square(W).sum()) for W in weights.values())
-    grad_params = {name: -2.0 * lam * np.asarray(W) for name, W in weights.items()}
+    grad_params = {name: -2.0 * lam * W for name, W in weights.items()}
     return ObjectiveValue(base.value - lam * penalty, base.grad_resp, grad_params)
 
 

@@ -14,11 +14,11 @@ from miclust.kernels import KernelMatrix, KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel, softmax, softmax_backward
 from miclust.objectives import mi, mmd_gemini_ova, rim
 
-# name -> (whether it trains against the training-set Gram, evaluator (model, P, lam, G) -> ObjectiveValue)
+# name -> (whether it trains against the training-set Gram, evaluator (P, weights, lam, G) -> ObjectiveValue)
 OBJECTIVES = {
-    "mi": (False, lambda model, P, lam, G: mi(P)),
-    "rim": (False, lambda model, P, lam, G: rim(P, {k: getattr(model, k) for k in model.weight_keys}, lam)),
-    "mmd-gemini": (True, lambda model, P, lam, G: mmd_gemini_ova(P, G)),
+    "mi": (False, lambda P, weights, lam, G: mi(P)),
+    "rim": (False, lambda P, weights, lam, G: rim(P, weights, lam)),
+    "mmd-gemini": (True, lambda P, weights, lam, G: mmd_gemini_ova(P, G)),
 }
 
 
@@ -124,14 +124,6 @@ def _as_values(X) -> np.ndarray:
     return X.values if isinstance(X, DataMatrix) else matrix("X", X, "an n x d matrix")
 
 
-def evaluate_objective(model: ClusterModel, P: np.ndarray, objective: str, lam: float = 0.0, gram_values=None):
-    """Evaluate the named objective on the responsibilities of `model`."""
-    needs_gram, evaluate = _objective(objective)
-    if needs_gram and gram_values is None:
-        raise ValueError(f"{objective} requires a kernel Gram matrix of the training set")
-    return evaluate(model, P, lam, gram_values)
-
-
 def training_gram(X, objective: str, kernel: KernelSpec | None = None):
     """Training-set Gram (rbf by default) for an objective that needs one; None for the others."""
     if not _objective(objective)[0]:
@@ -141,18 +133,21 @@ def training_gram(X, objective: str, kernel: KernelSpec | None = None):
 
 
 def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: float, G):
-    """Per-epoch closure of an objective on fixed features F.
+    """Per-epoch closure of an objective on fixed features F, whose OBJECTIVES row is read once per fit.
 
     Each call runs the head once, puts a softmax on its logits and returns
     (value, gradient), where `gradient()` runs the softmax Jacobian and the
     head's backward once over the kept intermediates and adds the
     objective's direct parameter terms.
     """
+    evaluate = _objective(objective)[1]
+    # Adam and the gradient check change these arrays in place, so one dict serves every epoch
+    weights = {name: getattr(model, name) for name in model.weight_keys}
 
     def epoch():
         Z, saved = model.head(F)
         P = softmax(Z)
-        obj = evaluate_objective(model, P, objective, lam, G)
+        obj = evaluate(P, weights, lam, G)
 
         def gradient():
             grads = model.head_backward(F, saved, softmax_backward(P, obj.grad_resp))
@@ -247,7 +242,7 @@ def check_gradients(
     max_rel = 0.0
     per_param = {}
     for name, arr in model.params.items():
-        numeric = np.zeros(arr.size)
+        numeric = np.zeros(arr.shape)
         for i in range(arr.size):
             orig = arr.flat[i]
             arr.flat[i] = orig + h
@@ -255,8 +250,7 @@ def check_gradients(
             arr.flat[i] = orig - h
             down = epoch()[0]
             arr.flat[i] = orig
-            numeric[i] = (up - down) / (2 * h)
-        numeric = numeric.reshape(arr.shape)
+            numeric.flat[i] = (up - down) / (2 * h)
         a = np.asarray(analytic[name], dtype=np.float64)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
         rel = float(np.max(np.abs(a - numeric) / denom)) if a.size else 0.0

@@ -80,6 +80,8 @@ ARRAYS = {
     "proportions.P": ("P", (N, 2), False, proportions),
     "fairness_firmness.P": ("P", (N, 2), False, fairness_firmness),
     "rim.P": ("P", (N, 2), False, lambda v: rim(v, {}, 0.1)),
+    "rim.weights-W": ("W", (D, 2), False, lambda v: rim(P, {"W": v}, 0.1)),
+    "rim.weights-W2": ("W2", (3, 2), False, lambda v: rim(P, {"W1": np.ones((D, 3)), "W2": v}, 0.1)),
     "mmd_gemini_ova.P": ("P", (N, 2), False, lambda v: mmd_gemini_ova(v, np.eye(N))),
     "mmd_gemini_ova.K": ("K", (N, N), True, lambda v: mmd_gemini_ova(P, v)),
     "kmeans.X": ("X", (N, D), False, lambda v: kmeans(v, 2)),

@@ -1,6 +1,8 @@
 """Tests for augmentations, the InfoNCE loss and the contrastive trainer."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +194,22 @@ def test_train_contrastive_is_deterministic():
         cfg = TrainConfig(epochs=15, learning_rate=1e-3, seed=3)
         outs.append(train_contrastive(critic, X, Rotation2D(), cfg).to_json())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("aug", ["noise:0.1", None, object()], ids=["spec-string", "none", "object"])
+@pytest.mark.parametrize(
+    "call",
+    # an X that is no array shows the augmentation is checked before any work; a 0-epoch fit never augments
+    [lambda aug: train_contrastive(init_critic(2), object(), aug, TrainConfig(epochs=0)),
+     lambda aug: augment(np.zeros((3, 2)), aug, 0)],
+    ids=["train_contrastive", "augment"],
+)
+def test_an_unknown_augmentation_is_named_alike_before_any_work(call, aug):
+    # train_contrastive raised AttributeError: 'str' object has no attribute 'describe'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^unknown augmentation {re.escape(repr(aug))}$"):
+            call(aug)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from miclust import (
 from miclust.contrastive import parse_augmentation
 from miclust.data import make_rng
 from miclust.errors import number
-from miclust.optim import evaluate_objective, training_gram
+from miclust.optim import training_gram
 
 X = make_circles(12, 0.05, 0.3, 0).values
 LINEAR = {"d": 2, "k": 2}
@@ -56,6 +56,7 @@ SETTINGS = {
     "kmeans.K": ("K", lambda v: kmeans(X, v)),
     "kmeans.n_init": ("n_init", lambda v: kmeans(X, 2, n_init=v)),
     "kmeans.max_iter": ("max_iter", lambda v: kmeans(X, 2, max_iter=v)),
+    "kmeans.tol": ("tol", lambda v: kmeans(X, 2, tol=v)),
     "kmeans.rng": ("seed", lambda v: kmeans(X, 2, rng=v)),
     "make_rng.seed": ("seed", make_rng),
     "spectral.K": ("K", lambda v: spectral(X, v)),
@@ -143,12 +144,10 @@ UNKNOWN_OBJECTIVE = r"^objective must be one of \('mi', 'rim', 'mmd-gemini'\), g
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: TrainConfig(objective="bogus"), lambda: training_gram(X, "bogus"),
-     lambda: evaluate_objective(init_model("linear", LINEAR), np.full((12, 2), 0.5), "bogus")],
-    ids=["TrainConfig", "training_gram", "evaluate_objective"],
+    [lambda: TrainConfig(objective="bogus"), lambda: training_gram(X, "bogus")], ids=["TrainConfig", "training_gram"]
 )
 def test_an_unknown_objective_fails_alike_everywhere(call):
-    # training_gram returned None for it, and evaluate_objective worded its own message
+    # training_gram returned None for it
     with pytest.raises(ValueError, match=UNKNOWN_OBJECTIVE):
         call()
 

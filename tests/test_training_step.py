@@ -22,7 +22,7 @@ import miclust.objectives
 import miclust.optim
 from miclust import FitReport, TrainConfig
 from miclust.data import make_rng
-from miclust.optim import Adam, _objective_epoch, _train, evaluate_objective, training_gram
+from miclust.optim import OBJECTIVES, Adam, _objective_epoch, _train, training_gram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,10 +30,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def reference_fit(model, X, cfg: TrainConfig) -> str:
     """The per-epoch loop over the public forward/backward, as a report JSON."""
     G = training_gram(X, cfg.objective, cfg.kernel)
+    evaluate = OBJECTIVES[cfg.objective][1]
     opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
     for _ in range(cfg.epochs):
-        obj = evaluate_objective(model, model.forward(X), cfg.objective, cfg.lam, G)
+        weights = {name: getattr(model, name) for name in model.weight_keys}
+        obj = evaluate(model.forward(X), weights, cfg.lam, G)
         history.append(obj.value)
         grads = model.backward(X, obj.grad_resp)
         for name, extra in obj.grad_params.items():
@@ -133,6 +135,33 @@ def test_check_gradients_runs_head_backward_once(monkeypatch, circles, objective
     assert counts == {"head": 1 + 2 * n_scalars, "head_backward": 1}
 
 
+# each objective's function, by the name optim calls it through at run time, where the benchmark's tracer wraps it
+OBJECTIVE_FUNCTIONS = {"mi": "mi", "rim": "rim", "mmd-gemini": "mmd_gemini_ova"}
+
+
+@pytest.mark.parametrize("objective", list(miclust.optim.OBJECTIVES))
+def test_each_epoch_calls_its_objective_once_through_optim_and_a_fit_looks_its_row_up_a_fixed_number_of_times(
+    monkeypatch, circles, objective
+):
+    cfgs = {epochs: TrainConfig(epochs=epochs, learning_rate=1e-2, objective=objective, lam=0.05) for epochs in (3, 9)}
+    calls = {name: counting(monkeypatch, miclust.optim, name) for name in OBJECTIVE_FUNCTIONS.values()}
+    lookups = counting(monkeypatch, miclust.optim, "_objective")
+    expected = dict.fromkeys(OBJECTIVE_FUNCTIONS.values(), 0)
+    per_fit = []
+    for epochs, cfg in cfgs.items():
+        before = lookups[0]
+        mc.fit(make_model("mlp", circles.values, 0), circles.values, cfg)
+        per_fit.append(lookups[0] - before)
+        expected[OBJECTIVE_FUNCTIONS[objective]] += epochs
+        assert {name: n[0] for name, n in calls.items()} == expected
+    assert per_fit[0] == per_fit[1]
+    model = make_model("mlp", circles.values, 0)
+    mc.check_gradients(model, objective, circles.values, lam=0.05)
+    # the analytic epoch, then two value-only epochs per scalar parameter
+    expected[OBJECTIVE_FUNCTIONS[objective]] += 1 + 2 * sum(p.size for p in model.params.values())
+    assert {name: n[0] for name, n in calls.items()} == expected
+
+
 def test_each_contrastive_epoch_runs_one_trained_head_and_head_backward(monkeypatch, circles):
     critic = mc.init_critic(2, 8, 2, rng=2)
     counts = counting_methods(monkeypatch, type(critic), "head", "head_backward", "logits")
@@ -143,7 +172,7 @@ def test_each_contrastive_epoch_runs_one_trained_head_and_head_backward(monkeypa
 
 
 def test_fit_rejects_a_non_finite_responsibility_gradient(monkeypatch, circles):
-    def finite_value_nan_gradient(model, P, lam, G):
+    def finite_value_nan_gradient(P, weights, lam, G):
         return miclust.objectives.ObjectiveValue(0.5, np.full_like(P, np.nan), {})
 
     monkeypatch.setitem(miclust.optim.OBJECTIVES, "mi", (False, finite_value_nan_gradient))
