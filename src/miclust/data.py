@@ -129,8 +129,9 @@ def save_csv(X: DataMatrix, path) -> None:
 def load_csv(path) -> DataMatrix:
     """Read a DataMatrix written by :func:`save_csv`.
 
-    Raises ValueError for an empty or header-only file and for a row whose
-    field count differs from the header's.
+    Raises ValueError for an empty or header-only file, for a row whose
+    field count differs from the header's, and for values whose n^2 squared
+    distances could overflow a sum (8 n^2 max||x||^2 beyond float64's largest).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -152,4 +153,8 @@ def load_csv(path) -> DataMatrix:
                 labels.append(int(row[d]))
     if not values:
         raise ValueError(f"{path}: no data rows after the header")
-    return DataMatrix(values, labels if has_label else None)
+    X = DataMatrix(values, labels if has_label else None)
+    with np.errstate(over="ignore"):  # an overflow here is inf, which the bound refuses
+        if 8.0 * X.n**2 * np.square(X.values).sum(axis=1).max() > np.finfo(np.float64).max:
+            raise ValueError(f"{path}: values too large: 8 n^2 max||x||^2 exceeds float64's largest value")
+    return X

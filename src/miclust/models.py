@@ -78,6 +78,7 @@ class ClusterModel:
 
     def backward(self, X: np.ndarray, dP: np.ndarray) -> dict:
         F = self.features(X)
+        dP = matrix("dP", dP, "an n x K matrix")  # softmax_backward checks its shape against the responsibilities
         Z, saved = self.head(F)
         return self.head_backward(F, saved, softmax_backward(softmax(Z), dP))
 
@@ -91,6 +92,8 @@ class ClusterModel:
 
     def backward_from_logits(self, X: np.ndarray, dZ: np.ndarray) -> dict:
         F = self.features(X)
+        shape = (len(F), self.n_clusters)
+        dZ = matrix("dZ", dZ, f"an n x K matrix with n={shape[0]}, K={shape[1]}", lambda s: s == shape)
         return self.head_backward(F, self.head(F)[1], dZ)
 
     @property

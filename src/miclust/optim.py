@@ -124,23 +124,20 @@ def _as_values(X) -> np.ndarray:
     return X.values if isinstance(X, DataMatrix) else matrix("X", X, "an n x d matrix")
 
 
-def training_gram(X, objective: str, kernel: KernelSpec | None = None):
-    """Training-set Gram (rbf by default) for an objective that needs one; None for the others."""
-    if not _objective(objective)[0]:
-        return None
-    values = _as_values(X)
-    return gram(values, values, kernel or KernelSpec("rbf"))
+def _objective_fit(model: ClusterModel, X, objective: str, lam: float, kernel: KernelSpec | None):
+    """One fit's setup, reading the objective's OBJECTIVES row once: (G, held, F, epoch).
 
-
-def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: float, G):
-    """Per-epoch closure of an objective on fixed features F, whose OBJECTIVES row is read once per fit.
-
-    Each call runs the head once, puts a softmax on its logits and returns
-    (value, gradient), where `gradient()` runs the softmax Jacobian and the
-    head's backward once over the kept intermediates and adds the
-    objective's direct parameter terms.
+    G is the training Gram (rbf by default) if the row trains against one. A kernel head whose X_ref equals X under
+    G's kernel takes G as its features F, so the n x n is built once, and `held`, the matrix a report hands on, is G
+    or that head's features. Each `epoch()` runs the head and a softmax once and returns (value, gradient), where
+    `gradient()` runs the softmax Jacobian and the head's backward once over the kept intermediates.
     """
-    evaluate = _objective(objective)[1]
+    needs_gram, evaluate = _objective(objective)
+    values = _as_values(X)
+    G = gram(values, values, kernel or KernelSpec("rbf")) if needs_gram else None
+    head_on_values = isinstance(model, KernelModel) and np.array_equal(model.X_ref, values)
+    F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
+    held = G if G is not None or not head_on_values else KernelMatrix(F, model.spec)
     # Adam and the gradient check change these arrays in place, so one dict serves every epoch
     weights = {name: getattr(model, name) for name in model.weight_keys}
 
@@ -157,7 +154,7 @@ def _objective_epoch(model: ClusterModel, F: np.ndarray, objective: str, lam: fl
 
         return obj.value, gradient
 
-    return epoch
+    return G, held, F, epoch
 
 
 def _train(model: ClusterModel, cfg: TrainConfig, epoch, scores, config: dict) -> FitReport:
@@ -190,16 +187,9 @@ def fit(model: ClusterModel, X, cfg: TrainConfig) -> FitReport:
     given (model init, cfg); raises NumericError when the objective turns
     non-finite.
     """
-    values = _as_values(X)
-    G = training_gram(values, cfg.objective, cfg.kernel)
-    # a kernel head on an equal array under the training kernel has the training Gram as its features
-    head_on_values = isinstance(model, KernelModel) and np.array_equal(model.X_ref, values)
-    F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
+    G, held, F, epoch = _objective_fit(model, X, cfg.objective, cfg.lam, cfg.kernel)
     # echo the kernel the fit trained against, not one it was handed and never used
     config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict() if G is not None else None)
-    epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
-    # the report hands on the training Gram, else the head's features, so scoring on values need not rebuild it
-    held = G if G is not None or not head_on_values else KernelMatrix(F, model.spec)
     return replace(_train(model, cfg, epoch, lambda: softmax(model.head(F)[0]), config), gram=held)
 
 
@@ -234,9 +224,8 @@ def check_gradients(
     parameter.
     """
     h, tol = (number(name, value, "positive and finite", lambda v: v > 0) for name, value in (("h", h), ("tol", tol)))
-    values = _as_values(X)
-    G = training_gram(values, objective, kernel)
-    epoch = _objective_epoch(model, model.features(values), objective, lam, G)
+    lam = number("lam", lam, "finite and >= 0", lambda v: v >= 0)
+    epoch = _objective_fit(model, X, objective, lam, kernel)[3]
     analytic = epoch()[1]()
 
     max_rel = 0.0

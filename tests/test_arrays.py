@@ -43,7 +43,6 @@ from miclust import (
 from miclust.kernels import pairwise_sq_dist
 from miclust.models import dataset_fingerprint
 from miclust.metrics import contingency
-from miclust.optim import training_gram
 
 N, D = 12, 2
 X = make_circles(N, 0.05, 0.3, 0).values
@@ -61,10 +60,11 @@ ARRAYS = {
     "fit.X": ("X", (N, D), True, lambda v: fit(init_model("linear", {"d": D, "k": 2}), v, ONE_EPOCH)),
     "predict.X": ("X", (N, D), True, lambda v: predict(LINEAR, v)),
     "check_gradients.X": ("X", (N, D), True, lambda v: check_gradients(LINEAR, "mi", v)),
-    "training_gram.X": ("X", (N, D), False, lambda v: training_gram(v, "mmd-gemini")),
     "LinearModel.forward.X": ("X", (N, D), True, lambda v: LINEAR.forward(v)),
     "MlpModel.logits.X": ("X", (N, D), True, lambda v: MLP.logits(v)),
     "KernelModel.forward.X": ("X", (N, D), True, lambda v: KERNEL.forward(v)),
+    "ClusterModel.backward.dP": ("dP", (N, 2), False, lambda v: MLP.backward(X, v)),
+    "ClusterModel.backward_from_logits.dZ": ("dZ", (N, 2), True, lambda v: KERNEL.backward_from_logits(X, v)),
     "NonparametricModel.forward.X": ("X", (N, D), False, lambda v: NONPARAMETRIC.forward(v)),
     "train_contrastive.X": ("X", (N, D), True, lambda v: train_contrastive(init_critic(D), v, Rotation2D(), ONE_EPOCH)),
     "extract_clusters.X": ("X", (N, D), True, lambda v: extract_clusters(MLP, v)),
@@ -136,6 +136,15 @@ def test_every_array_input_rejects_a_value_outside_the_rule(entry, bad):
         warnings.simplefilter("error")  # a numpy warning before the check, such as ComplexWarning, would raise instead
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {type(value).__name__} "):
             call(value)
+
+
+def test_the_x_level_wrappers_take_a_callers_gradient_by_the_array_rule():
+    # backward read .shape off a list dP (AttributeError), and a dZ one row short reached numpy's matmul
+    dP = [[0.1, 0.2]] * N
+    listed, arrayed = MLP.backward(X, dP), MLP.backward(X, np.array(dP))
+    assert all(np.array_equal(listed[name], arrayed[name]) for name in MLP.param_names)
+    with pytest.raises(ValueError, match=r"^dZ must be an n x K matrix with n=12, K=2, got ndarray of shape \(11, 2\)"):
+        KERNEL.backward_from_logits(X, np.ones((N - 1, 2)))
 
 
 # entry point and labeling -> (the name its error gives the labeling, a call that passes it for 2 samples)

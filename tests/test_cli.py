@@ -20,7 +20,7 @@ import miclust.contrastive
 import miclust.models
 import miclust.optim
 from miclust.cli import main
-from miclust.data import load_csv
+from miclust.data import load_csv, save_csv
 
 
 @pytest.fixture
@@ -266,7 +266,7 @@ RELEASE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(RELEASE_CASES))
-def test_sweep_lets_each_fits_training_gram_go_before_scoring(tmp_path, case):
+def test_sweep_lets_each_fits_held_gram_go_before_scoring(tmp_path, case):
     n = 1000
     argv, bound = RELEASE_CASES[case]
     data = tmp_path / "circles.csv"
@@ -331,6 +331,43 @@ def test_bad_csv_exits_2_without_traceback(tmp_path, content):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def scaled_circles_csv(path, largest):
+    """40 circles points scaled so their largest |entry| is `largest`, as a CSV."""
+    values = mc.make_circles(40, 0.05, 0.3, 0).values
+    save_csv(mc.DataMatrix(values / np.abs(values).max() * largest), path)
+
+
+# a CSV holding 1e200 warned "overflow" in every fit id; at n=40 and max |x| = 2e153, inside the silhouette's own
+# bound, the kernel K-means score and the k-means++ total still overflowed
+NEAR_LIMIT = {
+    "1e200-n4": lambda path: path.write_text("f0,f1\n0,0\n1,0\n0,1\n1e200,1\n"),
+    "2e153-n40": lambda path: scaled_circles_csv(path, 2e153),
+}
+DATA_COMMANDS = {
+    **{f"fit-{model}": ["fit", "--model", model, "--out-dir", "run"] for model in miclust.cli.MODEL_IDS},
+    "sweep": ["sweep", "--model", "mlp", "--k-range", "2:3", "--out", "sweep.csv"],
+    "contrastive": ["contrastive", "--aug", "noise:0.5", "--out-dir", "run"],
+}
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+@pytest.mark.parametrize("data", NEAR_LIMIT)
+def test_data_whose_squared_distances_could_overflow_exits_2_with_one_error_line(tmp_path, data, command):
+    path = tmp_path / "near_limit.csv"
+    NEAR_LIMIT[data](path)
+    proc = run_cli(*DATA_COMMANDS[command], "--data", str(path), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: values too large: 8 n^2 max||x||^2 exceeds float64's largest value\n"
+
+
+@pytest.mark.parametrize("model", miclust.cli.MODEL_IDS)
+def test_data_at_1e150_still_fits_with_every_model(tmp_path, model):
+    scaled_circles_csv(tmp_path / "large.csv", 1e150)
+    proc = run_cli("fit", "--model", model, "--data", str(tmp_path / "large.csv"), "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and (tmp_path / "run" / "report.json").exists()
 
 
 def test_config_without_path_exits_2_without_traceback():

@@ -110,6 +110,8 @@ def inputs(tmp_path):
              "no_params.json": '{"kind": "linear"}', "odd.cfg": "epochs 3\n= 2\n",
              # a 400-digit integer parameter, past float64, exited 1 with an OverflowError traceback
              "huge.json": '{"kind": "linear", "params": {"W": [[1%s, 0], [0, 1]], "b": [0, 0]}}' % ("0" * 399),
+             # a value whose squared distances overflow warned in every fit, or exited 0 reporting an infinite score
+             "huge.csv": "f0,f1\n0,0\n1,0\n0,1\n1e200,1\n",
              "ok.cfg": "epochs = 2\nseed = 1\nstandardize = true\n"}
     for name, text in texts.items():
         (d / name).write_text(text)
@@ -147,6 +149,7 @@ def inputs(tmp_path):
 @example(data=(["fit", "--model", "linear", "--lr", "1e300", "--epochs", "5"], 3))
 @example(data=(["contrastive", "--aug", "noise:0.5", "--lr", "1e100", "--epochs", "5"], 3))
 @example(data=(["boundary", "--model", "huge.json", "--resolution", "3"], 2))
+@example(data=(["fit", "--model", "mlp", "--data", "huge.csv", "--epochs", "2"], 2))
 def test_cli_exit_code_contract(tmp_path, inputs, data):
     # the suite turns a numpy warning into an error, so no command may warn either
     out = {
@@ -155,7 +158,7 @@ def test_cli_exit_code_contract(tmp_path, inputs, data):
     }
     if isinstance(data, tuple):  # an explicit example: a command, its flags naming input files, and its exit code
         argv, code = [inputs["files"].get(part, part) for part in data[0]], data[1]
-        fits = ["--data", inputs["data"][0], "--out-dir", out["dir"][0]]
+        fits = ["--out-dir", out["dir"][0]] + ([] if "--data" in argv else ["--data", inputs["data"][0]])
         argv += ["--out", out["file"][0]] if argv[0] == "boundary" else fits
         assert main(argv) == code
     else:

@@ -9,14 +9,14 @@ from miclust import KernelSpec, LinearModel, MlpModel, NonparametricModel, init_
 from miclust.data import make_rng
 from miclust.models import ClusterModel, KernelModel, dataset_fingerprint, softmax, softmax_backward
 from miclust.objectives import mi
-from miclust.optim import _objective_epoch
+from miclust.optim import _objective_fit
 
 
-def rim_epoch_penalizing(model, F):
-    """One RIM epoch at lam=1 on features F as (value, gradients), after checking it penalizes exactly the weight_keys:
-    those gradients are the lam=0 epoch's minus 2W, and every other gradient is the lam=0 epoch's."""
-    value, gradient = _objective_epoch(model, F, "rim", 1.0, None)()
-    grads, free = gradient(), _objective_epoch(model, F, "rim", 0.0, None)()[1]()
+def rim_epoch_penalizing(model, X):
+    """One RIM epoch at lam=1 on X as (value, gradients), after checking it penalizes exactly the weight_keys: those
+    gradients are the lam=0 epoch's minus 2W, and every other gradient is the lam=0 epoch's."""
+    value, gradient = _objective_fit(model, X, "rim", 1.0, None)[3]()
+    grads, free = gradient(), _objective_fit(model, X, "rim", 0.0, None)[3]()[1]()
     for name, W in model.params.items():
         assert np.array_equal(grads[name], free[name] - 2.0 * W if name in model.weight_keys else free[name]), name
     return value, grads
@@ -250,7 +250,7 @@ def test_kernel_head_is_a_linear_head_on_kernel_features():
     F = model.features(X)
     linear = LinearModel(model.params["A"], model.params["b"])
     assert np.array_equal(model.logits(X), linear.logits(F))
-    value, _ = rim_epoch_penalizing(model, F)
+    value, _ = rim_epoch_penalizing(model, X)
     assert value == mi(model.forward(X)).value - float(np.sum(model.params["A"] ** 2))
     assert model.weight_keys == ("A",)
 

@@ -23,7 +23,6 @@ from miclust import (
 from miclust.contrastive import parse_augmentation
 from miclust.data import make_rng
 from miclust.errors import number
-from miclust.optim import training_gram
 
 X = make_circles(12, 0.05, 0.3, 0).values
 LINEAR = {"d": 2, "k": 2}
@@ -64,7 +63,7 @@ SETTINGS = {
     "make_gaussian_blobs.counts": ("counts", lambda v: make_gaussian_blobs([[0.0, 0.0]], 1.0, v)),
     "check_gradients.h": ("h", lambda v: check_gradients(init_model("linear", LINEAR), "mi", X, h=v)),
     "check_gradients.tol": ("tol", lambda v: check_gradients(init_model("linear", LINEAR), "mi", X, tol=v)),
-    "check_gradients.lam": ("lambda", lambda v: check_gradients(init_model("linear", LINEAR), "rim", X, lam=v)),
+    "check_gradients.lam": ("lam", lambda v: check_gradients(init_model("linear", LINEAR), "mi", X, lam=v)),
 }
 
 # a bool is no number: TrainConfig(epochs=True) reported "epochs": true, and GaussianNoise(True) described itself as
@@ -142,12 +141,8 @@ def test_an_augmentation_of_numpy_numbers_constructs_without_a_warning_and_round
 UNKNOWN_OBJECTIVE = r"^objective must be one of \('mi', 'rim', 'mmd-gemini'\), got str 'bogus'"
 
 
-@pytest.mark.parametrize(
-    "call",
-    [lambda: TrainConfig(objective="bogus"), lambda: training_gram(X, "bogus")], ids=["TrainConfig", "training_gram"]
-)
+@pytest.mark.parametrize("call", [lambda: TrainConfig(objective="bogus")], ids=["TrainConfig"])
 def test_an_unknown_objective_fails_alike_everywhere(call):
-    # training_gram returned None for it
     with pytest.raises(ValueError, match=UNKNOWN_OBJECTIVE):
         call()
 

@@ -22,15 +22,16 @@ import miclust.objectives
 import miclust.optim
 from miclust import FitReport, TrainConfig
 from miclust.data import make_rng
-from miclust.optim import OBJECTIVES, Adam, _objective_epoch, _train, training_gram
+from miclust.optim import OBJECTIVES, Adam
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def reference_fit(model, X, cfg: TrainConfig) -> str:
-    """The per-epoch loop over the public forward/backward, as a report JSON."""
-    G = training_gram(X, cfg.objective, cfg.kernel)
-    evaluate = OBJECTIVES[cfg.objective][1]
+    """The per-epoch loop over the public forward/backward, which rebuild the head's features every epoch, as a report
+    JSON; an objective that trains against a Gram gets the training kernel's (rbf by default) on X."""
+    needs_gram, evaluate = OBJECTIVES[cfg.objective]
+    G = mc.gram(X, X, cfg.kernel or mc.KernelSpec("rbf")) if needs_gram else None
     opt = Adam(model.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     history = []
     for _ in range(cfg.epochs):
@@ -140,7 +141,7 @@ OBJECTIVE_FUNCTIONS = {"mi": "mi", "rim": "rim", "mmd-gemini": "mmd_gemini_ova"}
 
 
 @pytest.mark.parametrize("objective", list(miclust.optim.OBJECTIVES))
-def test_each_epoch_calls_its_objective_once_through_optim_and_a_fit_looks_its_row_up_a_fixed_number_of_times(
+def test_each_epoch_calls_its_objective_once_through_optim_and_a_fit_looks_its_row_up_once(
     monkeypatch, circles, objective
 ):
     cfgs = {epochs: TrainConfig(epochs=epochs, learning_rate=1e-2, objective=objective, lam=0.05) for epochs in (3, 9)}
@@ -154,9 +155,11 @@ def test_each_epoch_calls_its_objective_once_through_optim_and_a_fit_looks_its_r
         per_fit.append(lookups[0] - before)
         expected[OBJECTIVE_FUNCTIONS[objective]] += epochs
         assert {name: n[0] for name, n in calls.items()} == expected
-    assert per_fit[0] == per_fit[1]
+    assert per_fit == [1, 1]
     model = make_model("mlp", circles.values, 0)
+    before = lookups[0]
     mc.check_gradients(model, objective, circles.values, lam=0.05)
+    assert lookups[0] - before == 1
     # the analytic epoch, then two value-only epochs per scalar parameter
     expected[OBJECTIVE_FUNCTIONS[objective]] += 1 + 2 * sum(p.size for p in model.params.values())
     assert {name: n[0] for name, n in calls.items()} == expected
@@ -190,37 +193,28 @@ def test_kernel_rim_builds_its_gram_once_per_fit(monkeypatch):
     assert calls[0] + optim_calls[0] <= 2
 
 
-def two_gram_fit(model, X, cfg: TrainConfig) -> str:
-    """`fit` as it was before a kernel head could share the training Gram: both built."""
-    G = training_gram(X, cfg.objective, cfg.kernel)
-    F = model.features(X)
-    config = dict(cfg.to_dict(), model=model.kind, kernel=G.spec.to_dict())
-    epoch = _objective_epoch(model, F, cfg.objective, cfg.lam, G)
-    return _train(model, cfg, epoch, lambda: mc.models.softmax(model.head(F)[0]), config).to_json()
-
-
 @pytest.mark.parametrize("spec", [mc.KernelSpec("rbf"), mc.KernelSpec("linear")], ids=["rbf", "linear"])
-def test_kernel_mmd_gemini_fit_shares_its_features_as_the_training_gram(monkeypatch, spec):
+def test_kernel_mmd_gemini_fit_shares_its_features_as_its_gram(monkeypatch, spec):
     # gram(X, Y) gives the same bits for every Y equal to X (an equal linear Y takes X's syrk path), so a head
     # whose X_ref is only an equal copy of X shares the training Gram too
     X = mc.standardize(mc.make_circles(100, 0.05, 0.1, 0)).values
     cfg = TrainConfig(epochs=200, learning_rate=1e-2, seed=4, objective="mmd-gemini", kernel=spec)
-    for X_ref, grams in ((X, 1), (X.copy(), 1)):
-        expected = two_gram_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
+    for X_ref in (X, X.copy()):
+        expected = reference_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
         calls = counting(monkeypatch, miclust.models, "gram")
         optim_calls = counting(monkeypatch, miclust.optim, "gram")
         report = mc.fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X_ref, spec=spec), X, cfg)
         monkeypatch.undo()
-        assert calls[0] + optim_calls[0] == grams
+        assert calls[0] + optim_calls[0] == 1
         assert report.to_json() == expected
 
 
-def test_kernel_fit_shares_the_training_gram_with_an_equal_x_ref_in_another_layout(monkeypatch):
+def test_kernel_fit_shares_its_gram_with_an_equal_x_ref_in_another_layout(monkeypatch):
     # kernel matrices depend on values only, so a Fortran-ordered X_ref gives the Gram of the C-ordered one
     X = make_rng(5).normal(size=(120, 7))
     spec = mc.KernelSpec("rbf", 0.3)
     cfg = TrainConfig(epochs=50, learning_rate=1e-2, seed=4, objective="mmd-gemini", kernel=spec)
-    expected = two_gram_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=np.asfortranarray(X), spec=spec), X, cfg)
+    expected = reference_fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=np.asfortranarray(X), spec=spec), X, cfg)
     c_ordered = mc.fit(mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X, spec=spec), X, cfg).to_json()
     calls = counting(monkeypatch, miclust.models, "gram")
     optim_calls = counting(monkeypatch, miclust.optim, "gram")
@@ -228,6 +222,24 @@ def test_kernel_fit_shares_the_training_gram_with_an_equal_x_ref_in_another_layo
     monkeypatch.undo()
     assert calls[0] + optim_calls[0] == 1
     assert report.to_json() == expected == c_ordered
+
+
+def test_kernel_check_gradients_shares_its_gram_as_fit_does(monkeypatch):
+    # with optim blind to kernel heads, the check builds the head's features apart from the training Gram, as it
+    # did before the two shared one setup: two Gram builds, and the same report from one
+    X = mc.standardize(mc.make_circles(30, 0.05, 0.1, 0)).values
+    reports, grams = [], []
+    for blind in (True, False):
+        if blind:
+            monkeypatch.setattr(miclust.optim, "KernelModel", type("NoKernelHead", (), {}))
+        calls = counting(monkeypatch, miclust.models, "gram")
+        optim_calls = counting(monkeypatch, miclust.optim, "gram")
+        model = mc.init_model("kernel", {"k": 2}, rng=4, X_ref=X)
+        reports.append(mc.check_gradients(model, "mmd-gemini", X, lam=0.05))
+        monkeypatch.undo()
+        grams.append(calls[0] + optim_calls[0])
+    assert grams == [2, 1]
+    assert reports[0] == reports[1] and reports[1].passed
 
 
 def test_nonparametric_fit_checks_its_binding_once(monkeypatch, circles):
