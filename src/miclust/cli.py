@@ -48,7 +48,7 @@ def _load_config_file(path: str) -> list[str]:
 
 def _scores(X: data_mod.DataMatrix, report: FitReport) -> dict:
     """The ARI of the report's labels against X's (when it has them) and their silhouette (None when undefined)."""
-    report.gram = None  # the fit's held n x n is let go before the silhouette builds its own
+    report.gram = None  # nothing scores with the fit's held n x n after this; a sweep's next fit builds its own
     out = {}
     if X.labels is not None:
         out["ari"] = metrics_mod.ari(X.labels, report.labels)

@@ -101,32 +101,54 @@ def _for_row_blocks(n: int, m: int, body) -> None:
     step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
     starts = range(0, n, step)
     runs = [starts[len(starts) * i // _WORKERS:len(starts) * (i + 1) // _WORKERS] for i in range(_WORKERS)]
-    _map(lambda run: [body(slice(lo, lo + step)) for lo in run], runs, 8 * n * m)
+    _map(lambda run: [body(slice(lo, min(lo + step, n))) for lo in run], runs, 8 * n * m)
+
+
+def _sq_norms(name: str, A: np.ndarray) -> np.ndarray:
+    """A's squared row norms, if 8 times each is finite; else ValueError. Each term of the norm expansion is at most
+    4 max ||x||^2, so data that passes builds every distance and Gram without a floating-point warning on any thread."""
+    with np.errstate(over="ignore"):  # an entry past the bound squares to inf, refused here
+        norms = _row_reduce(np.add, A * A).ravel()
+        if not np.isfinite(8.0 * norms).all():
+            raise ValueError(f"{name} needs finite data whose squared distances fit in float64")
+    return norms
 
 
 def _matrices(X, Y) -> tuple:
-    """X and Y as matrices in C order whatever the layout given, so the bits depend on the values alone (BLAS sums
-    by layout)."""
+    """(X, Y, xx, yy): X and Y as matrices in C order whatever the layout given, so the bits depend on the values
+    alone (BLAS sums by layout), and their squared row norms by the bound of `_sq_norms`."""
     Y = np.ascontiguousarray(matrix("Y", Y, "an m x d matrix"))
     d = Y.shape[1]  # Y first, so a kernel head's X of the wrong width is the one named
     X = matrix("X", X, f"an n x {d} matrix, as Y is m x {d}", lambda s: len(s) == 2 and s[1] == d)
-    return np.ascontiguousarray(X), Y
+    X = np.ascontiguousarray(X)
+    return X, Y, _sq_norms("X", X), _sq_norms("Y", Y)
+
+
+def _sq_dist_rows(X, Y) -> tuple:
+    """(fill, n, m): fill(rows, block) writes rows `rows` of the n x m clamped squared distances into `block` from
+    their own gemm (2X)[rows] Y^T, and returns it; so the bits depend on the row-block partition alone."""
+    X, Y, xx, yy = _matrices(X, Y)
+    X2 = 2.0 * X
+
+    def fill(rows, block):
+        np.matmul(X2[rows], Y.T, out=block)
+        np.subtract(np.add.outer(xx[rows], yy), block, out=block)
+        return np.maximum(block, 0.0, out=block)
+
+    return fill, len(X), len(Y)
 
 
 def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
-    """Clamped squared distances, then finish(rows, block), per row block from that block's own gemm (2X)[rows] Y^T,
-    so the bits depend on the row-block partition and never on the worker count."""
-    X, Y = _matrices(X, Y)
-    X2, out = 2.0 * X, np.empty((len(X), len(Y)))
-    xx, yy = _row_reduce(np.add, X * X).ravel(), _row_reduce(np.add, Y * Y).ravel()
+    """Clamped squared distances, then finish(rows, block), per row block of `_sq_dist_rows`, so the bits never depend
+    on the worker count."""
+    fill, n, m = _sq_dist_rows(X, Y)
+    out = np.empty((n, m))
 
     def epilogue(rows):
-        block = np.matmul(X2[rows], Y.T, out=out[rows])
-        np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         with np.errstate(over="ignore"):  # per thread: an rbf gamma * d^2 past float64 is -inf, and exp(-inf) = 0
-            finish(rows, np.maximum(block, 0.0, out=block))
+            finish(rows, fill(rows, out[rows]))
 
-    _for_row_blocks(*out.shape, epilogue)
+    _for_row_blocks(n, m, epilogue)
     return out
 
 
@@ -137,7 +159,7 @@ def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
     """Gram matrix of the kernel between two sample sets; its bits depend on their values and spec alone."""
-    X, Y = _matrices(X, Y)
+    X, Y = _matrices(X, Y)[:2]
     spec = spec.resolve(X)
     if spec.kind == "linear":
         # X @ X.T runs BLAS syrk and X @ Y.T gemm, which differ in the last bit: an equal Y takes X's path
@@ -149,6 +171,7 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
 def default_gamma(X: np.ndarray) -> float:
     """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
     X = np.ascontiguousarray(matrix("X", X, "a non-empty n x d matrix to derive a default gamma from", nonempty))
+    _sq_norms("X", X)
     var = X.var()
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")

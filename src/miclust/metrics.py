@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from miclust.errors import labeling, matrix
-from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_blocks
+from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_rows
 
 
 def contingency(a, b) -> np.ndarray:
@@ -55,6 +55,10 @@ def silhouette(X, labels, precomputed: bool = False):
     can be scored directly. Samples in singleton clusters score 0, as do
     samples where both Intra and Outer vanish. Non-finite data or
     distances, and sums of distances that overflow float64, raise ValueError.
+
+    The distances of an n x d input are built one row block at a time and
+    walked while in cache, so no n x n matrix is held: at most one block of
+    about 1 MB per worker. A precomputed D is walked in place.
     """
     labels = labeling("labels", labels)
     n = labels.size
@@ -63,21 +67,23 @@ def silhouette(X, labels, precomputed: bool = False):
     uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    if not precomputed:
-        # each term of the norm expansion is at most 4 max ||x||^2; twice that finite leaves room for rounding, so
-        # an X that passes builds its distances without a floating-point warning on any thread
-        with np.errstate(over="ignore"):
-            if not np.isfinite(8.0 * (D * D).sum(axis=1)).all():
-                raise ValueError("silhouette needs finite data whose squared distances fit in float64")
-        D = _sq_dist_blocks(D, D, lambda rows, block: np.sqrt(block, out=block))
+    if precomputed:
+        distances = D.__getitem__
+    else:
+        fill = _sq_dist_rows(D, D)[0]  # raises before any O(n^2) work on data whose squared distances overflow
+
+        def distances(rows):
+            block = fill(rows, np.empty((rows.stop - rows.start, n)))
+            return np.sqrt(block, out=block)
+
     sizes = np.bincount(inv)
     members_of = [np.flatnonzero(inv == j) for j in range(uniq.size)]
-    # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of D
+    # mean distance from each sample to each cluster, and to the rest of its own, by row blocks of distances
     mean_to = np.empty((n, uniq.size))
     intra = np.zeros(n)
 
     def walk(rows):
-        block = D[rows].T
+        block = distances(rows).T
         # numpy's error state belongs to each thread, so each block sets it: a sum that overflows or meets a NaN or
         # inf then raises from the means below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):

@@ -241,7 +241,8 @@ def test_one_n_by_n_buffer_per_build(name, circles_2000):
         "silhouette": lambda: silhouette(X, labels),
     }[name]
     call()  # first-call allocations stay out of the measured peak
-    assert _peak_in_n2_doubles(call) < 1.2
+    # the silhouette builds and walks one row block of distances at a time, holding no n x n
+    assert _peak_in_n2_doubles(call) < (0.25 if name == "silhouette" else 1.2)
 
 
 def _head_cases():

@@ -253,9 +253,9 @@ def test_sweep_rows_score_each_fits_labels(tmp_path, circles_csv):
 
 
 # per command at n=1000: its argv, whose last item names its output in tmp_path, and the bound on its traced peak, in
-# n x n float64 matrices. A fit's held training Gram (or kernel head's features) is let go before the silhouette
-# builds its own n x n: the sweep never scores it, and a fit's kernel K-means score is done with it; held on, it
-# raised a fit's peak to 2.2-2.5 n x n
+# n x n float64 matrices. A fit's held training Gram (or kernel head's features) is let go when its labels are
+# scored: the sweep never scores it, and a fit's kernel K-means score is done with it; held on, it raised a fit's peak
+# to 2.2-2.5 n x n while the silhouette built an n x n of its own, and a sweep's next fit would build its Gram beside it
 RELEASE_CASES = {
     "sweep-mlp-mmd": (["sweep", "--model", "mlp", "--objective", "mmd-gemini", "--k-range", "2:3", "--seeds", "0",
                        "--out", "sweep.csv"], 1.5),

@@ -2,11 +2,24 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from miclust import KernelSpec, default_gamma, gram, make_circles, silhouette, standardize
+from miclust import (
+    KernelSpec,
+    TrainConfig,
+    default_gamma,
+    fit,
+    gram,
+    init_model,
+    kmeans,
+    make_circles,
+    silhouette,
+    spectral,
+    standardize,
+)
 from miclust.data import make_rng
 from miclust.kernels import pairwise_sq_dist
 
@@ -215,3 +228,32 @@ def test_an_input_that_is_not_a_matrix_is_rejected_by_its_shape(shapes):
                   lambda X, Y: gram(X, Y, KernelSpec("linear"))):
         with pytest.raises(ValueError, match=f"^{name} must be .*, got ndarray of shape {re.escape(str(shape))}"):
             build(X, Y)
+
+
+# finite, but 8 * its largest squared row norm is not: every term of the norm expansion could overflow
+HUGE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1.0]])
+SMALL = make_circles(4, 0.05, 0.3, 0).values
+OVERFLOWING = {
+    "gram-rbf": lambda: gram(HUGE, HUGE, KernelSpec("rbf")),
+    "gram-rbf-gamma": lambda: gram(HUGE, HUGE, KernelSpec("rbf", 1.0)),
+    "gram-linear": lambda: gram(HUGE, HUGE, KernelSpec("linear")),
+    "gram-Y": lambda: gram(SMALL, HUGE, KernelSpec("linear")),
+    "pairwise_sq_dist": lambda: pairwise_sq_dist(HUGE, HUGE),
+    "default_gamma": lambda: default_gamma(HUGE),
+    "kmeans": lambda: kmeans(HUGE, 2),
+    "spectral": lambda: spectral(HUGE, 2),
+    "silhouette": lambda: silhouette(HUGE, [0, 0, 1, 1]),
+    "init_model-kernel": lambda: init_model("kernel", {"k": 2}, rng=0, X_ref=HUGE),
+    "fit-kernel-X_ref": lambda: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=HUGE, spec=KernelSpec("rbf", 1.0)),
+                                    HUGE, TrainConfig(epochs=2, objective="rim")),
+    "fit-kernel-X": lambda: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=SMALL), HUGE, TrainConfig(epochs=2)),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_data_whose_squared_distances_overflow_fails_alike_everywhere(name):
+    # each warned of overflow first (in the gemm, the row norms or the variance), except the silhouette
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^[XY] needs finite data whose squared distances fit in float64$"):
+            OVERFLOWING[name]()

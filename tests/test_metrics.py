@@ -105,7 +105,7 @@ def test_silhouette_validation():
 @pytest.mark.parametrize("rows, n_labels", [(10, 8), (8, 10)])
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows, n_labels, precomputed):
-    monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
+    monkeypatch.setattr("miclust.metrics._sq_dist_rows", lambda *a: pytest.fail("distances built before the check"))
     X = np.zeros((rows, rows if precomputed else 2))
     width = rows if precomputed else 2
     with pytest.raises(ValueError, match=rf"^X must be .*, n={n_labels}, got ndarray of shape \({rows}, {width}\)"):
@@ -115,7 +115,7 @@ def test_silhouette_rejects_a_row_count_unequal_to_the_labels(monkeypatch, rows,
 
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_silhouette_rejects_an_input_that_is_not_2d(monkeypatch, precomputed):
-    monkeypatch.setattr("miclust.metrics._sq_dist_blocks", lambda *a: pytest.fail("distances built before the check"))
+    monkeypatch.setattr("miclust.metrics._sq_dist_rows", lambda *a: pytest.fail("distances built before the check"))
     for X in (np.zeros(4), np.zeros((4, 4, 1))):
         with pytest.raises(ValueError, match=rf"^X must be .*, got ndarray of shape {re.escape(str(X.shape))}"):
             silhouette(X, [0, 0, 1, 1], precomputed=precomputed)

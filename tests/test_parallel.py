@@ -181,9 +181,9 @@ def test_silhouette_walks_its_distances_with_the_worker_count_of_gram(monkeypatc
     gram(X, X, KernelSpec("rbf", 0.5))
     assert walks == [2]
     silhouette(X, labels)
-    assert walks[1:] == [2, 2]  # the distance epilogue, its sqrt included, then the walk
+    assert walks[1:] == [2]  # one walk, each block's distances and sqrt built in it
     silhouette(D, labels, precomputed=True)
-    assert walks[3:] == [2]  # the walk alone
+    assert walks[2:] == [2]  # the walk alone
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -193,10 +193,13 @@ def test_silhouette_on_the_pool_keeps_its_serial_bits_to_a_one_row_last_block(mo
     D = np.sqrt(pairwise_sq_dist(X, X))
 
     def scores():
-        return silhouette(X, labels)[1], silhouette(D, labels, precomputed=True)[1]
+        return silhouette(X, labels), silhouette(D, labels, precomputed=True)
 
     serial, threaded = _serial(monkeypatch, scores), _threaded(monkeypatch, workers, scores)
-    assert all(_same_bytes(a, b) for a, b in zip(serial, threaded))
+    for (mean, per_sample), (mean_d, per_sample_d) in (serial, threaded):
+        # the distances built block by block in the walk are those of the whole matrix, bit for bit
+        assert _same_bytes(per_sample, per_sample_d) and _same_bytes(mean, mean_d)
+    assert all(_same_bytes(a[1], b[1]) for a, b in zip(serial, threaded))
 
 
 def test_a_non_square_build_on_the_pool_keeps_its_serial_bits_to_a_one_row_last_block(monkeypatch):
