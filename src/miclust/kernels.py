@@ -116,18 +116,20 @@ def _sq_norms(name: str, A: np.ndarray) -> np.ndarray:
 
 def _matrices(X, Y) -> tuple:
     """(X, Y, xx, yy): X and Y as matrices in C order whatever the layout given, so the bits depend on the values
-    alone (BLAS sums by layout), and their squared row norms by the bound of `_sq_norms`."""
+    alone (BLAS sums by layout), and their squared row norms by the bound of `_sq_norms`; one array passed as both is
+    checked and reduced once."""
+    same = X is Y
     Y = np.ascontiguousarray(matrix("Y", Y, "an m x d matrix"))
     d = Y.shape[1]  # Y first, so a kernel head's X of the wrong width is the one named
-    X = matrix("X", X, f"an n x {d} matrix, as Y is m x {d}", lambda s: len(s) == 2 and s[1] == d)
+    X = Y if same else matrix("X", X, f"an n x {d} matrix, as Y is m x {d}", lambda s: len(s) == 2 and s[1] == d)
     X = np.ascontiguousarray(X)
-    return X, Y, _sq_norms("X", X), _sq_norms("Y", Y)
+    xx = _sq_norms("X", X)
+    return X, Y, xx, xx if same else _sq_norms("Y", Y)
 
 
-def _sq_dist_rows(X, Y) -> tuple:
-    """(fill, n, m): fill(rows, block) writes rows `rows` of the n x m clamped squared distances into `block` from
-    their own gemm (2X)[rows] Y^T, and returns it; so the bits depend on the row-block partition alone."""
-    X, Y, xx, yy = _matrices(X, Y)
+def _sq_dist_rows(X, Y, xx, yy):
+    """fill(rows, block): rows `rows` of the clamped squared distances of `_matrices`'s (X, Y, xx, yy), from their own
+    gemm (2X)[rows] Y^T, written into `block` and returned; so the bits depend on the row-block partition alone."""
     X2 = 2.0 * X
 
     def fill(rows, block):
@@ -135,44 +137,46 @@ def _sq_dist_rows(X, Y) -> tuple:
         np.subtract(np.add.outer(xx[rows], yy), block, out=block)
         return np.maximum(block, 0.0, out=block)
 
-    return fill, len(X), len(Y)
+    return fill
 
 
-def _sq_dist_blocks(X: np.ndarray, Y: np.ndarray, finish=lambda rows, block: None) -> np.ndarray:
-    """Clamped squared distances, then finish(rows, block), per row block of `_sq_dist_rows`, so the bits never depend
-    on the worker count."""
-    fill, n, m = _sq_dist_rows(X, Y)
-    out = np.empty((n, m))
+def _sq_dist_blocks(X, Y, xx, yy, finish=lambda rows, block: None) -> np.ndarray:
+    """Clamped squared distances of `_matrices`'s (X, Y, xx, yy), then finish(rows, block), per row block of
+    `_sq_dist_rows`, so the bits never depend on the worker count."""
+    fill, out = _sq_dist_rows(X, Y, xx, yy), np.empty((len(X), len(Y)))
 
     def epilogue(rows):
         with np.errstate(over="ignore"):  # per thread: an rbf gamma * d^2 past float64 is -inf, and exp(-inf) = 0
             finish(rows, fill(rows, out[rows]))
 
-    _for_row_blocks(n, m, epilogue)
+    _for_row_blocks(*out.shape, epilogue)
     return out
 
 
 def pairwise_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances via the norm expansion, clamped at 0."""
-    return _sq_dist_blocks(X, Y)
+    return _sq_dist_blocks(*_matrices(X, Y))
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> KernelMatrix:
     """Gram matrix of the kernel between two sample sets; its bits depend on their values and spec alone."""
-    X, Y = _matrices(X, Y)[:2]
+    X, Y, xx, yy = _matrices(X, Y)
     spec = spec.resolve(X)
     if spec.kind == "linear":
         # X @ X.T runs BLAS syrk and X @ Y.T gemm, which differ in the last bit: an equal Y takes X's path
         return KernelMatrix(X @ (X if np.array_equal(X, Y) else Y).T, spec)
-    values = _sq_dist_blocks(X, Y, lambda rows, block: np.exp(np.multiply(block, -spec.gamma, out=block), out=block))
+    values = _sq_dist_blocks(X, Y, xx, yy,
+                             lambda rows, block: np.exp(np.multiply(block, -spec.gamma, out=block), out=block))
     return KernelMatrix(values, spec)
 
 
 def default_gamma(X: np.ndarray) -> float:
     """Default rbf bandwidth 1 / (d * Var(X)), Var over all matrix entries in C order."""
     X = np.ascontiguousarray(matrix("X", X, "a non-empty n x d matrix to derive a default gamma from", nonempty))
-    _sq_norms("X", X)
-    var = X.var()
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance past float64 is refused below, as a build would
+        var = X.var()
+    if not np.isfinite(var):
+        raise ValueError("X needs finite data whose squared distances fit in float64")
     if var == 0:
         raise ValueError("data has zero variance; cannot derive a default gamma")
     return float(1.0 / (X.shape[1] * var))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from miclust.errors import labeling, matrix
-from miclust.kernels import _for_row_blocks, _row_reduce, _sq_dist_rows
+from miclust.kernels import _for_row_blocks, _matrices, _row_reduce, _sq_dist_rows
 
 
 def contingency(a, b) -> np.ndarray:
@@ -70,7 +70,7 @@ def silhouette(X, labels, precomputed: bool = False):
     if precomputed:
         distances = D.__getitem__
     else:
-        fill = _sq_dist_rows(D, D)[0]  # raises before any O(n^2) work on data whose squared distances overflow
+        fill = _sq_dist_rows(*_matrices(D, D))  # raises before any O(n^2) work on data whose squared distances overflow
 
         def distances(rows):
             block = fill(rows, np.empty((rows.stop - rows.start, n)))

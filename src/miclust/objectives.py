@@ -52,10 +52,7 @@ def mi(P: np.ndarray) -> ObjectiveValue:
     The gradient reduces to (1/n) log(P_ik / pbar_k): the terms coming from
     the dependence of pbar on P cancel exactly.
     """
-    return _mi(_check_resp(P))
-
-
-def _mi(P: np.ndarray) -> ObjectiveValue:
+    P = _check_resp(P)
     n = P.shape[0]
     pbar = P.sum(axis=0) / n
     log_ratio = np.log(np.maximum(P, _LOG_FLOOR)) - np.log(np.maximum(pbar, _LOG_FLOOR))
@@ -83,11 +80,8 @@ def rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
     included. The returned `grad_params` holds -2*lam*W per entry.
     """
     lam = number("lambda", lam, "finite and >= 0", lambda v: v >= 0)
-    return _rim(_check_resp(P), {name: matrix(name, W, "a weight matrix") for name, W in weights.items()}, lam)
-
-
-def _rim(P: np.ndarray, weights: dict, lam: float) -> ObjectiveValue:
-    base = _mi(P)
+    base = mi(P)
+    weights = {name: matrix(name, W, "a weight matrix") for name, W in weights.items()}
     penalty = sum(float(np.square(W).sum()) for W in weights.values())
     grad_params = {name: -2.0 * lam * W for name, W in weights.items()}
     return ObjectiveValue(base.value - lam * penalty, base.grad_resp, grad_params)
@@ -101,13 +95,9 @@ def mmd_gemini_ova(P: np.ndarray, K: KernelMatrix) -> ObjectiveValue:
     MMD_k = sqrt((alpha_k - beta)^T Gram (alpha_k - beta)).
     """
     P = _check_resp(P)
-    G = matrix("K", K.values if isinstance(K, KernelMatrix) else K, "an n x n Gram matrix, n = P's rows",
-               lambda s: s == (len(P), len(P)))
-    return _mmd_gemini_ova(P, G)
-
-
-def _mmd_gemini_ova(P: np.ndarray, G: np.ndarray) -> ObjectiveValue:
     n, nk = P.shape
+    G = matrix("K", K.values if isinstance(K, KernelMatrix) else K, "an n x n Gram matrix, n = P's rows",
+               lambda s: s == (n, n))
     pbar = P.sum(axis=0) / n
     beta = np.full(n, 1.0 / n)
     value = 0.0

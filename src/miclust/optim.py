@@ -12,14 +12,13 @@ from miclust.data import DataMatrix
 from miclust.errors import NumericError, integer, matrix, number
 from miclust.kernels import KernelMatrix, KernelSpec, gram
 from miclust.models import ClusterModel, KernelModel, softmax, softmax_backward
-from miclust.objectives import _check_resp, _mi, _mmd_gemini_ova, _rim
+from miclust.objectives import mi, mmd_gemini_ova, rim
 
-# name -> (whether it trains against the training-set Gram, evaluator (P, weights, lam, G) -> ObjectiveValue); each
-# runs the objective's body unchecked, since a fit checks its P's shape, the model's weights, lam and its Gram once
+# name -> (whether it trains against the training-set Gram, evaluator (P, weights, lam, G) -> ObjectiveValue)
 OBJECTIVES = {
-    "mi": (False, lambda P, weights, lam, G: _mi(P)),
-    "rim": (False, lambda P, weights, lam, G: _rim(P, weights, lam)),
-    "mmd-gemini": (True, lambda P, weights, lam, G: _mmd_gemini_ova(P, G.values)),
+    "mi": (False, lambda P, weights, lam, G: mi(P)),
+    "rim": (False, lambda P, weights, lam, G: rim(P, weights, lam)),
+    "mmd-gemini": (True, lambda P, weights, lam, G: mmd_gemini_ova(P, G)),
 }
 
 
@@ -139,7 +138,6 @@ def _objective_fit(model: ClusterModel, X, objective: str, lam: float, kernel: K
     head_on_values = isinstance(model, KernelModel) and np.array_equal(model.X_ref, values)
     F = G.values if head_on_values and G is not None and model.spec == G.spec else model.features(values)
     held = G if G is not None or not head_on_values else KernelMatrix(F, model.spec)
-    _check_resp(np.empty((len(F), model.n_clusters)))  # every epoch's P is softmax's float64 of this shape
     # Adam and the gradient check change these arrays in place, so one dict serves every epoch
     weights = {name: getattr(model, name) for name in model.weight_keys}
 

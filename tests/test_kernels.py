@@ -21,6 +21,7 @@ from miclust import (
     standardize,
 )
 from miclust.data import make_rng
+from miclust import kernels
 from miclust.kernels import pairwise_sq_dist
 
 
@@ -257,3 +258,20 @@ def test_data_whose_squared_distances_overflow_fails_alike_everywhere(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^[XY] needs finite data whose squared distances fit in float64$"):
             OVERFLOWING[name]()
+
+
+def test_each_build_bounds_and_reduces_each_input_once(monkeypatch):
+    # one bound and one norm reduction per input and build; an array passed as both X and Y counts once
+    checked, bound = [], kernels._sq_norms
+    monkeypatch.setattr(kernels, "_sq_norms", lambda name, A: checked.append(name) or bound(name, A))
+    X, Y = SMALL, make_circles(3, 0.05, 0.3, 1).values
+    builds = {
+        "gram-rbf": (lambda: gram(X, X, KernelSpec("rbf")), ["X"]),
+        "gram-linear": (lambda: gram(X, Y, KernelSpec("linear")), ["X", "Y"]),
+        "pairwise_sq_dist": (lambda: pairwise_sq_dist(X, X), ["X"]),
+        "silhouette": (lambda: silhouette(X, [0, 0, 1, 1]), ["X"]),
+    }
+    for name, (build, expected) in builds.items():
+        checked.clear()
+        build()
+        assert checked == expected, name

@@ -5,7 +5,6 @@ import pytest
 
 from miclust import KernelSpec, fairness_firmness, gram, mi, mmd_gemini_ova, proportions, rim
 from miclust.data import make_rng
-from miclust.optim import OBJECTIVES
 
 
 def random_responsibilities(gen, n, K):
@@ -167,19 +166,3 @@ def test_a_responsibility_matrix_with_no_clusters_is_rejected(objective):
     # mi(np.empty((3, 0))) returned 0.0 with an empty gradient
     with pytest.raises(ValueError, match=r"^P must be an n x K matrix with K >= 1 .*, got ndarray of shape \(3, 0\)"):
         objective(np.empty((3, 0)))
-
-
-@pytest.mark.parametrize("objective", list(OBJECTIVES))
-def test_each_table_row_gives_its_public_objectives_bits(objective):
-    # a row runs the objective's body unchecked; the public function checks its inputs, then runs the same body
-    gen = make_rng(21)
-    P = random_responsibilities(gen, 30, 3)
-    weights = {"W1": gen.normal(size=(2, 4)), "W2": gen.normal(size=(4, 3))}
-    X = gen.normal(size=(30, 2))
-    G = gram(X, X, KernelSpec("rbf", 0.7))
-    public = {"mi": lambda: mi(P), "rim": lambda: rim(P, weights, 0.3), "mmd-gemini": lambda: mmd_gemini_ova(P, G)}
-    row, expected = OBJECTIVES[objective][1](P, weights, 0.3, G), public[objective]()
-    assert np.float64(row.value).tobytes() == np.float64(expected.value).tobytes()
-    assert row.grad_resp.tobytes() == expected.grad_resp.tobytes()
-    assert row.grad_params.keys() == expected.grad_params.keys()
-    assert all(row.grad_params[k].tobytes() == expected.grad_params[k].tobytes() for k in row.grad_params)

@@ -100,7 +100,7 @@ def test_mlp_mmd_gemini_fit_keeps_its_serial_report(monkeypatch, workers):
 def test_the_pool_runs_the_blocks_off_the_calling_thread(monkeypatch):
     X = _data(801)[0]
     threads = set()
-    _threaded(monkeypatch, 2, lambda: kernels._sq_dist_blocks(X, X, lambda rows, block: threads.add(
+    _threaded(monkeypatch, 2, lambda: kernels._sq_dist_blocks(*kernels._matrices(X, X), lambda rows, block: threads.add(
         threading.current_thread().name)))
     assert threads and all(name.startswith("miclust") for name in threads)
 
