@@ -86,12 +86,15 @@ def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
         raise ValueError(f"labels must be >= 0, got {labels.min()}")
     score = 0.0
     # serial on purpose: two np.ix_ copies at once raised the n=4000 circles benchmark's peak RSS 317 -> 351 MB
-    for k in range(labels.max() + 1):
-        mask = labels == k
-        size = int(mask.sum())
-        if size == 0:
-            raise ValueError(f"cluster {k} is empty")
-        score -= float(G[np.ix_(mask, mask)].sum()) / size
+    with np.errstate(over="ignore", invalid="ignore"):  # a caller's G with inf, NaN or sums past float64: refused below
+        for k in range(labels.max() + 1):
+            mask = labels == k
+            size = int(mask.sum())
+            if size == 0:
+                raise ValueError(f"cluster {k} is empty")
+            score -= float(G[np.ix_(mask, mask)].sum()) / size
+    if not np.isfinite(score):
+        raise ValueError("kernel K-means score needs a finite Gram matrix whose cluster sums fit in float64")
     return score
 
 

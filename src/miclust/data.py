@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from miclust.errors import integer, labeling, matrix, nonempty, number
+from miclust.kernels import _sq_norms
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -81,15 +82,15 @@ def make_gaussian_blobs(means, stds, counts, rng=0) -> DataMatrix:
     means = matrix("means", means, "a non-empty K x d matrix", nonempty)
     K = len(means)
 
-    def each(name, value, rule, ok, integral=False):
-        """One number per component, by the rule of `number`: one value for all, or K of them."""
+    def each(name, value, check):
+        """One number per component, by `check(name, v)`: one value for all, or K of them."""
         values = np.asarray(value, dtype=object)
         if values.shape not in ((), (K,)):
             raise ValueError(f"{name} must be one value or {K}, got {type(value).__name__} of shape {values.shape}")
-        return [number(name, v, rule, ok, integral) for v in np.broadcast_to(values, (K,))]
+        return [check(name, v) for v in np.broadcast_to(values, (K,))]
 
-    stds = each("stds", stds, "finite and > 0", lambda v: v > 0)
-    counts = each("counts", counts, "an integer from 1 to 2**63 - 1", lambda v: 0 < v < 2**63, integral=True)
+    stds = each("stds", stds, lambda name, v: number(name, v, "finite and > 0", lambda v: v > 0))
+    counts = each("counts", counts, lambda name, v: integer(name, v, 1))
     gen = make_rng(rng)
     parts, labels = [], []
     for k in range(K):
@@ -130,8 +131,8 @@ def load_csv(path) -> DataMatrix:
     """Read a DataMatrix written by :func:`save_csv`.
 
     Raises ValueError for an empty or header-only file, for a row whose
-    field count differs from the header's, and for values whose n^2 squared
-    distances could overflow a sum (8 n^2 max||x||^2 beyond float64's largest).
+    field count differs from the header's, and for values that
+    `pairwise_sq_dist(X, X)` would refuse.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -154,7 +155,5 @@ def load_csv(path) -> DataMatrix:
     if not values:
         raise ValueError(f"{path}: no data rows after the header")
     X = DataMatrix(values, labels if has_label else None)
-    with np.errstate(over="ignore"):  # an overflow here is inf, which the bound refuses
-        if 8.0 * X.n**2 * np.square(X.values).sum(axis=1).max() > np.finfo(np.float64).max:
-            raise ValueError(f"{path}: values too large: 8 n^2 max||x||^2 exceeds float64's largest value")
+    _sq_norms(str(path), X.values, X.n**2)
     return X

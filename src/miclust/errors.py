@@ -24,8 +24,8 @@ def number(name: str, value, rule: str, ok=lambda v: True, integral: bool = Fals
 
 
 def integer(name: str, value, least: int) -> int:
-    """`value` by the rule of `number`, if it is an integer >= `least`."""
-    return number(name, value, f"an integer >= {least}", lambda v: v >= least, integral=True)
+    """`value` by the rule of `number`, if it is an integer from `least` to int64's largest, as every count is."""
+    return number(name, value, f"an integer from {least} to 2**63 - 1", lambda v: least <= v < 2**63, integral=True)
 
 
 def _real(name: str, value, rule: str, ok) -> np.ndarray:

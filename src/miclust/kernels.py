@@ -104,12 +104,12 @@ def _for_row_blocks(n: int, m: int, body) -> None:
     _map(lambda run: [body(slice(lo, min(lo + step, n))) for lo in run], runs, 8 * n * m)
 
 
-def _sq_norms(name: str, A: np.ndarray) -> np.ndarray:
-    """A's squared row norms, if 8 times each is finite; else ValueError. Each term of the norm expansion is at most
-    4 max ||x||^2, so data that passes builds every distance and Gram without a floating-point warning on any thread."""
-    with np.errstate(over="ignore"):  # an entry past the bound squares to inf, refused here
+def _sq_norms(name: str, A: np.ndarray, pairs: int) -> np.ndarray:
+    """A's squared row norms, if 8 * pairs times each is finite, else ValueError: the one data bound (`load_csv`'s too).
+    Each norm-expansion term is at most 4 max ||x||^2, so no sum of a build's `pairs` entries warns on any thread."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry past the bound squares to inf (0 pairs: NaN), refused
         norms = _row_reduce(np.add, A * A).ravel()
-        if not np.isfinite(8.0 * norms).all():
+        if not np.isfinite(8.0 * pairs * norms).all():
             raise ValueError(f"{name} needs finite data whose squared distances fit in float64")
     return norms
 
@@ -123,8 +123,8 @@ def _matrices(X, Y) -> tuple:
     d = Y.shape[1]  # Y first, so a kernel head's X of the wrong width is the one named
     X = Y if same else matrix("X", X, f"an n x {d} matrix, as Y is m x {d}", lambda s: len(s) == 2 and s[1] == d)
     X = np.ascontiguousarray(X)
-    xx = _sq_norms("X", X)
-    return X, Y, xx, xx if same else _sq_norms("Y", Y)
+    xx = _sq_norms("X", X, len(X) * len(Y))
+    return X, Y, xx, xx if same else _sq_norms("Y", Y, len(X) * len(Y))
 
 
 def _sq_dist_rows(X, Y, xx, yy):

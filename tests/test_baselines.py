@@ -1,5 +1,7 @@
 """Tests for K-means, the kernel K-means score and spectral clustering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_spectral_validation():
 
 def test_kmeans_rejects_max_iter_below_one():
     X = make_rng(0).normal(size=(10, 2))
-    with pytest.raises(ValueError, match="^max_iter must be an integer >= 1, got int 0"):
+    with pytest.raises(ValueError, match=r"^max_iter must be an integer from 1 to 2\*\*63 - 1, got int 0"):
         kmeans(X, 2, max_iter=0)
     labels, _, inertia = kmeans(X, 2, n_init=1, max_iter=1)
     assert labels.shape == (10,) and inertia >= 0.0
@@ -183,3 +185,24 @@ def test_kernel_kmeans_score_rejects_labels_a_cast_would_change(labels):
 def test_kernel_kmeans_score_takes_integral_float_labels():
     G = gram(make_rng(4).normal(size=(4, 2)), make_rng(4).normal(size=(4, 2)), KernelSpec("linear"))
     assert kernel_kmeans_score([0.0, 1.0, 1.0, 0.0], G) == kernel_kmeans_score([0, 1, 1, 0], G)
+
+
+def _gram_with(value, *entries):
+    """The 4 x 4 identity with `value` at each of `entries`."""
+    G = np.eye(4)
+    G[tuple(zip(*entries))] = value
+    return G
+
+
+# a caller's Gram with inf scored -inf, with NaN scored NaN, and inf against -inf, or block sums past float64, warned
+@pytest.mark.parametrize(
+    "G",
+    [_gram_with(np.inf, (0, 1)), _gram_with(np.nan, (0, 1)), _gram_with(np.inf, (0, 1)) - _gram_with(np.inf, (1, 0)),
+     np.full((4, 4), 1e308)],
+    ids=["inf", "nan", "inf-and-minus-inf", "sums-past-float64"],
+)
+def test_kernel_kmeans_score_refuses_a_gram_whose_cluster_sums_are_not_finite(G):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^kernel K-means score needs a finite Gram matrix"):
+            kernel_kmeans_score([0, 0, 1, 1], G)

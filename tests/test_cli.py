@@ -359,7 +359,7 @@ def test_data_whose_squared_distances_could_overflow_exits_2_with_one_error_line
     NEAR_LIMIT[data](path)
     proc = run_cli(*DATA_COMMANDS[command], "--data", str(path), cwd=tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {path}: values too large: 8 n^2 max||x||^2 exceeds float64's largest value\n"
+    assert proc.stderr == f"error: {path} needs finite data whose squared distances fit in float64\n"
 
 
 @pytest.mark.parametrize("model", miclust.cli.MODEL_IDS)

@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 from miclust import (
+    DataMatrix,
     KernelSpec,
     TrainConfig,
     default_gamma,
     fit,
     gram,
     init_model,
+    kernel_kmeans_score,
     kmeans,
     make_circles,
     silhouette,
     spectral,
     standardize,
 )
-from miclust.data import make_rng
+from miclust.data import load_csv, make_rng, save_csv
 from miclust import kernels
 from miclust.kernels import pairwise_sq_dist
 
@@ -233,37 +235,73 @@ def test_an_input_that_is_not_a_matrix_is_rejected_by_its_shape(shapes):
 
 # finite, but 8 * its largest squared row norm is not: every term of the norm expansion could overflow
 HUGE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1.0]])
+# 40 rows alternating +-3e153: 8 max||x||^2 = 1.4e308 bounds one pair, but a sum over many of them overflows
+ALTERNATING = np.array([[3e153, 3e153], [-3e153, -3e153]] * 20)
 SMALL = make_circles(4, 0.05, 0.3, 0).values
 OVERFLOWING = {
-    "gram-rbf": lambda: gram(HUGE, HUGE, KernelSpec("rbf")),
-    "gram-rbf-gamma": lambda: gram(HUGE, HUGE, KernelSpec("rbf", 1.0)),
-    "gram-linear": lambda: gram(HUGE, HUGE, KernelSpec("linear")),
-    "gram-Y": lambda: gram(SMALL, HUGE, KernelSpec("linear")),
-    "pairwise_sq_dist": lambda: pairwise_sq_dist(HUGE, HUGE),
-    "default_gamma": lambda: default_gamma(HUGE),
-    "kmeans": lambda: kmeans(HUGE, 2),
-    "spectral": lambda: spectral(HUGE, 2),
-    "silhouette": lambda: silhouette(HUGE, [0, 0, 1, 1]),
-    "init_model-kernel": lambda: init_model("kernel", {"k": 2}, rng=0, X_ref=HUGE),
-    "fit-kernel-X_ref": lambda: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=HUGE, spec=KernelSpec("rbf", 1.0)),
-                                    HUGE, TrainConfig(epochs=2, objective="rim")),
-    "fit-kernel-X": lambda: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=SMALL), HUGE, TrainConfig(epochs=2)),
+    "gram-rbf": lambda X: gram(X, X, KernelSpec("rbf")),
+    "gram-rbf-gamma": lambda X: gram(X, X, KernelSpec("rbf", 1.0)),
+    "gram-linear": lambda X: gram(X, X, KernelSpec("linear")),
+    "gram-Y": lambda X: gram(SMALL, X, KernelSpec("linear")),
+    "pairwise_sq_dist": lambda X: pairwise_sq_dist(X, X),
+    "default_gamma": default_gamma,
+    "kmeans": lambda X: kmeans(X, 2),
+    "spectral": lambda X: spectral(X, 2),
+    "silhouette": lambda X: silhouette(X, np.arange(len(X)) % 2),
+    "kernel_kmeans_score-linear": lambda X: kernel_kmeans_score(np.arange(len(X)) % 2,
+                                                                gram(X, X, KernelSpec("linear"))),
+    "init_model-kernel": lambda X: init_model("kernel", {"k": 2}, rng=0, X_ref=X),
+    "fit-kernel-X_ref": lambda X: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=X, spec=KernelSpec("rbf", 1.0)),
+                                      X, TrainConfig(epochs=2, objective="rim")),
+    "fit-kernel-X": lambda X: fit(init_model("kernel", {"k": 2}, rng=0, X_ref=SMALL), X, TrainConfig(epochs=2)),
 }
 
 
+@pytest.mark.parametrize("X", [HUGE, ALTERNATING], ids=["1e200-n4", "3e153-n40"])
 @pytest.mark.parametrize("name", OVERFLOWING)
-def test_data_whose_squared_distances_overflow_fails_alike_everywhere(name):
-    # each warned of overflow first (in the gemm, the row norms or the variance), except the silhouette
+def test_data_whose_squared_distances_overflow_fails_alike_everywhere(name, X):
+    # each warned of overflow first (in the gemm, the row norms, the variance or a sum), except the silhouette
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^[XY] needs finite data whose squared distances fit in float64$"):
-            OVERFLOWING[name]()
+            OVERFLOWING[name](X)
+
+
+def circles_at_bound(fraction):
+    """40 circles points scaled so that 8 n^2 max||x||^2 is `fraction` of float64's largest value."""
+    X = make_circles(40, 0.05, 0.3, 0).values
+    return X * np.sqrt(fraction / (8 * 40**2 * np.square(X).sum(axis=1).max())) * np.sqrt(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize("fraction", [0.99, 1.01])
+def test_load_csv_and_a_build_accept_and_refuse_the_same_data(tmp_path, fraction):
+    X = circles_at_bound(fraction)
+    save_csv(DataMatrix(X), tmp_path / "edge.csv")
+    outcomes = []
+    for read in (lambda: load_csv(tmp_path / "edge.csv"), lambda: pairwise_sq_dist(X, X)):
+        try:
+            read()
+            outcomes.append("accepted")
+        except ValueError as exc:
+            outcomes.append(str(exc).split(" needs ")[1])
+    assert outcomes == 2 * ["accepted" if fraction < 1 else "finite data whose squared distances fit in float64"]
+
+
+def test_every_sum_over_data_inside_the_bound_returns_without_a_warning():
+    X = circles_at_bound(0.99)
+    labels = np.arange(40) % 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, inertia = kmeans(X, 2)
+        mean, _ = silhouette(X, labels)
+        score = kernel_kmeans_score(labels, gram(X, X, KernelSpec("linear")))
+    assert np.isfinite([inertia, mean, score]).all()
 
 
 def test_each_build_bounds_and_reduces_each_input_once(monkeypatch):
     # one bound and one norm reduction per input and build; an array passed as both X and Y counts once
     checked, bound = [], kernels._sq_norms
-    monkeypatch.setattr(kernels, "_sq_norms", lambda name, A: checked.append(name) or bound(name, A))
+    monkeypatch.setattr(kernels, "_sq_norms", lambda name, A, pairs: checked.append(name) or bound(name, A, pairs))
     X, Y = SMALL, make_circles(3, 0.05, 0.3, 1).values
     builds = {
         "gram-rbf": (lambda: gram(X, X, KernelSpec("rbf")), ["X"]),

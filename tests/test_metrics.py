@@ -151,8 +151,8 @@ def test_silhouette_rejects_finite_data_whose_squared_distances_overflow():
 
 
 def test_silhouette_scores_the_largest_data_it_accepts_without_a_warning():
-    # 2.5e153 in each of 2 columns: 8 * the largest squared norm is 1e308, just finite
-    X = np.array([[2.5e153, -2.5e153], [-2.5e153, 2.5e153], [2.5e153, 2.5e153], [0.0, 0.0]])
+    # 6.25e152 in each of 2 columns: 8 * n^2 * the largest squared norm is 1e308, just finite
+    X = np.array([[6.25e152, -6.25e152], [-6.25e152, 6.25e152], [6.25e152, 6.25e152], [0.0, 0.0]])
     mean, scores = silhouette(X, [0, 0, 1, 1])  # any floating-point warning would raise here
     assert np.isfinite(mean) and np.isfinite(scores).all()
 

@@ -87,13 +87,13 @@ def test_every_numeric_setting_rejects_a_value_outside_the_rule(setting, value):
     ids=["TrainConfig", "make_rng", "kmeans"],
 )
 def test_a_negative_seed_is_rejected(call):
-    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got int -1"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer from 0 to 2\*\*63 - 1, got int -1"):
         call()
 
 
 def test_spectral_rejects_a_fractional_k_before_any_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("the Laplacian was decomposed"))
-    with pytest.raises(ValueError, match=r"^K must be an integer >= 1, got float 2.5"):
+    with pytest.raises(ValueError, match=r"^K must be an integer from 1 to 2\*\*63 - 1, got float 2.5"):
         spectral(X, 2.5)
 
 
@@ -151,3 +151,23 @@ def test_check_gradients_rejects_an_unknown_objective_before_any_gram(monkeypatc
     monkeypatch.setattr(miclust.optim, "gram", lambda *a: pytest.fail("a Gram was built"))
     with pytest.raises(ValueError, match=UNKNOWN_OBJECTIVE):
         check_gradients(init_model("linear", LINEAR), "bogus", X)
+
+
+# every count and seed: past int64, kmeans(X, 2, n_init=10**300) ran without end and init_critic(2, 10**30) leaked a
+# numpy TypeError from np.sqrt
+COUNTS = [setting for setting, (name, _) in SETTINGS.items()
+          if name in ("epochs", "seed", "n", "k", "d", "hidden", "K", "n_init", "max_iter", "counts")]
+
+
+@pytest.mark.parametrize("value", [2**63, 10**30], ids=["2**63", "1e30"])
+@pytest.mark.parametrize("setting", COUNTS)
+def test_every_count_and_seed_rejects_a_value_past_int64(setting, value):
+    name, call = SETTINGS[setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer from \d to 2\*\*63 - 1, got int {value}$"):
+            call(value)
+
+
+def test_the_largest_int64_seed_is_accepted():
+    assert TrainConfig(seed=2**63 - 1).seed == 2**63 - 1 and isinstance(make_rng(2**63 - 1), np.random.Generator)
