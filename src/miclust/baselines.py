@@ -7,7 +7,14 @@ import numpy as np
 
 from miclust.data import make_rng
 from miclust.errors import NumericError, integer, labeling, matrix, number
-from miclust.kernels import KernelMatrix, KernelSpec, _row_reduce, gram, pairwise_sq_dist
+from miclust.kernels import _BLOCK_BYTES, KernelMatrix, KernelSpec, _map, _row_reduce, gram, pairwise_sq_dist
+
+MAX_RUNS = 10**6  # restarts and Lloyd steps, here and in the CLI: kmeans(X, 2, n_init=2**62) ran without end
+
+
+def runs(name: str, value) -> int:
+    """`value` by the rule of `errors.number`, if it is an integer from 1 to MAX_RUNS: a restart or step count."""
+    return number(name, value, f"an integer from 1 to {MAX_RUNS}", lambda v: 1 <= v <= MAX_RUNS, integral=True)
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
@@ -56,7 +63,7 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
     the earliest restart.
     """
     X = matrix("X", X, "an n x d matrix")
-    K, n_init, max_iter = integer("K", K, 1), integer("n_init", n_init, 1), integer("max_iter", max_iter, 1)
+    K, n_init, max_iter = integer("K", K, 1), runs("n_init", n_init), runs("max_iter", max_iter)
     tol = number("tol", tol, "finite and >= 0", lambda v: v >= 0)
     if K > X.shape[0]:
         raise ValueError(f"K={K} exceeds the number of samples n={X.shape[0]}")
@@ -68,6 +75,17 @@ def kmeans(X, K: int, n_init: int = 10, max_iter: int = 300, tol: float = 1e-6, 
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     return best
+
+
+def _block_sum(G: np.ndarray, idx: np.ndarray, lo: int, hi: int) -> float:
+    """G[np.ix_(idx, idx)].ravel()[lo:hi].sum() bit for bit, from leaves of _BLOCK_BYTES gathering their rows alone."""
+    if hi - lo > _BLOCK_BYTES // 8:
+        half = (hi - lo) // 2 // 8 * 8  # numpy's pairwise sum splits here: half, rounded down to a multiple of 8
+        left, right = _map(lambda span: _block_sum(G, idx, *span), [(lo, lo + half), (lo + half, hi)], 8 * (hi - lo))
+        return left + right
+    m, first = len(idx), lo // len(idx)
+    with np.errstate(over="ignore", invalid="ignore"):  # per thread: a G with inf, NaN or sums past float64 is refused
+        return float(np.add.reduce(G[np.ix_(idx[first:-(-hi // m)], idx)].ravel()[lo - first * m:hi - first * m]))
 
 
 def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
@@ -85,14 +103,11 @@ def kernel_kmeans_score(labels, K: KernelMatrix) -> float:
     if (labels < 0).any():
         raise ValueError(f"labels must be >= 0, got {labels.min()}")
     score = 0.0
-    # serial on purpose: two np.ix_ copies at once raised the n=4000 circles benchmark's peak RSS 317 -> 351 MB
-    with np.errstate(over="ignore", invalid="ignore"):  # a caller's G with inf, NaN or sums past float64: refused below
-        for k in range(labels.max() + 1):
-            mask = labels == k
-            size = int(mask.sum())
-            if size == 0:
-                raise ValueError(f"cluster {k} is empty")
-            score -= float(G[np.ix_(mask, mask)].sum()) / size
+    for k in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == k)
+        if idx.size == 0:
+            raise ValueError(f"cluster {k} is empty")
+        score -= _block_sum(G, idx, 0, idx.size**2) / idx.size
     if not np.isfinite(score):
         raise ValueError("kernel K-means score needs a finite Gram matrix whose cluster sums fit in float64")
     return score

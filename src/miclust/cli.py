@@ -95,7 +95,7 @@ def _run_model(args, X: data_mod.DataMatrix):
     # an id names a model kind, with "-rim" spelling out the objective its kind defaults to
     kind = args.model.removesuffix("-rim")
     # checked for every id, so no flag is silently ignored by the ids it does not apply to
-    integer("--hidden", args.hidden, 1), integer("--n-init", args.n_init, 1)
+    integer("--hidden", args.hidden, 1), baselines.runs("--n-init", args.n_init)
     if args.objective is not None and kind in ("kmeans", "spectral"):
         raise ValueError(f"--objective does not apply to --model {kind}, a baseline with no training objective")
     if args.objective not in (None, "rim") and args.model.endswith("-rim"):

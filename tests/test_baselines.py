@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import miclust.baselines
 from miclust import KernelSpec, ari, gram, kernel_kmeans_score, kmeans, spectral
-from miclust.baselines import _kmeans_pp_init, _lloyd
+from miclust.baselines import MAX_RUNS, _block_sum, _kmeans_pp_init, _lloyd, runs
 from miclust.data import make_circles, make_gaussian_blobs, make_rng, standardize
 from miclust.kernels import pairwise_sq_dist
 
@@ -109,10 +110,25 @@ def test_spectral_validation():
 
 def test_kmeans_rejects_max_iter_below_one():
     X = make_rng(0).normal(size=(10, 2))
-    with pytest.raises(ValueError, match=r"^max_iter must be an integer from 1 to 2\*\*63 - 1, got int 0"):
+    with pytest.raises(ValueError, match=r"^max_iter must be an integer from 1 to 1000000, got int 0"):
         kmeans(X, 2, max_iter=0)
     labels, _, inertia = kmeans(X, 2, n_init=1, max_iter=1)
     assert labels.shape == (10,) and inertia >= 0.0
+
+
+# kmeans(X, 2, n_init=2**62) on 12 points ran without end: restarts and Lloyd steps stop at one cap
+@pytest.mark.parametrize("value", [MAX_RUNS + 1, 2**62, 2**63], ids=["cap+1", "2**62", "2**63"])
+@pytest.mark.parametrize("name", ["n_init", "max_iter"])
+def test_kmeans_refuses_run_counts_past_the_cap_before_any_work(name, value, monkeypatch):
+    monkeypatch.setattr(miclust.baselines, "_kmeans_pp_init", lambda *a: pytest.fail("a restart ran"))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer from 1 to 1000000, got int {value}$"):
+        kmeans(make_rng(0).normal(size=(12, 2)), 2, **{name: value})
+
+
+def test_the_run_cap_itself_is_accepted():
+    assert MAX_RUNS == 10**6 and runs("n_init", MAX_RUNS) == MAX_RUNS
+    labels, _, _ = kmeans(make_rng(0).normal(size=(12, 2)), 2, n_init=1, max_iter=MAX_RUNS)
+    assert labels.shape == (12,)
 
 
 def _lloyd_two_distances(X, centers, max_iter, tol):
@@ -206,3 +222,88 @@ def test_kernel_kmeans_score_refuses_a_gram_whose_cluster_sums_are_not_finite(G)
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^kernel K-means score needs a finite Gram matrix"):
             kernel_kmeans_score([0, 0, 1, 1], G)
+
+
+def _gather_score(labels, G):
+    """The score as it was: each cluster's |C| x |C| block gathered whole and summed by numpy; kept as its oracle."""
+    score = 0.0
+    for k in range(labels.max() + 1):
+        mask = labels == k
+        score -= float(G[np.ix_(mask, mask)].sum()) / int(mask.sum())
+    return score
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()  # == and the sign of zero
+
+
+def _assert_gather_bits(labels, G):
+    for k in range(labels.max() + 1):
+        mask = labels == k
+        idx = np.flatnonzero(mask)
+        assert _same_float(_block_sum(G, idx, 0, idx.size**2), float(G[np.ix_(mask, mask)].sum()))
+    assert _same_float(kernel_kmeans_score(labels, G), _gather_score(labels, G))
+
+
+def _sized(*sizes):
+    """Labels of clusters of the given sizes, shuffled, so each cluster's members are spread over the Gram's rows."""
+    return make_rng(sum(sizes)).permutation(np.repeat(np.arange(len(sizes)), sizes))
+
+
+def _signed_linear(X):
+    """A linear Gram with negative entries and -0.0 entries, some rows of them whole."""
+    G = gram(X, X, KernelSpec("linear")).values
+    G[make_rng(7).uniform(size=G.shape) < 0.2] = -0.0
+    G[::5] = -0.0
+    return G
+
+
+def _strided(G):
+    """G's values in a view that strides both axes."""
+    n = len(G)
+    big = np.full((2 * n, 3 * n), np.nan)
+    big[::2, ::3] = G
+    return big[::2, ::3]
+
+
+# the largest m whose m^2 doubles fit one 1 MB leaf is 362 (131044 <= 131072), so 363 splits in two; 375^2 is no
+# multiple of 8; from 725 (4.2 MB) the splits go through the pool's rule; clusters of 1 are singletons
+LABELINGS = {
+    "362-363-375": _sized(362, 363, 375),
+    "725-and-singletons": _sized(725, *[1] * 375),
+    "1000-100": _sized(1000, 100),
+    "singletons": np.arange(1100),
+}
+GRAMS = {
+    "rbf": lambda X: gram(X, X, KernelSpec("rbf")).values,
+    "linear-signed": _signed_linear,
+    "rbf-f-order": lambda X: np.asfortranarray(gram(X, X, KernelSpec("rbf")).values),
+    "linear-signed-strided": lambda X: _strided(_signed_linear(X)),
+    "negative-zeros": lambda X: np.full((len(X), len(X)), -0.0),  # each zero block sum keeps the sign numpy gives it
+}
+
+
+@pytest.fixture(scope="module")
+def grams():
+    X = make_rng(9).normal(size=(1100, 3))
+    return {name: build(X) for name, build in GRAMS.items()}
+
+
+@pytest.mark.parametrize("labels", LABELINGS.values(), ids=LABELINGS)
+@pytest.mark.parametrize("kind", GRAMS)
+def test_kernel_score_keeps_the_bits_of_the_gathered_blocks(grams, kind, labels):
+    _assert_gather_bits(labels, grams[kind])
+
+
+# a leaf of 1024 bytes holds numpy's largest unsplit run of 128 doubles, so every tree numpy's pairwise sum builds
+# from there down is cut into many leaves here
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 90), k=st.integers(1, 4), block=st.sampled_from([1024, 2048, 8192]),
+       zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_kernel_score_keeps_the_gather_bits_on_small_leaves(n, k, block, zeros, seed):
+    gen = make_rng(seed)
+    G = gen.normal(size=(n, n)) * 10.0 ** gen.integers(-3, 4, size=(n, n))
+    G[gen.uniform(size=G.shape) < zeros] = -0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miclust.baselines, "_BLOCK_BYTES", block)
+        _assert_gather_bits(gen.permutation(np.arange(n) % k), G)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miclust import KernelSpec, gram, init_model, make_circles, silhouette, standardize
+from miclust import KernelSpec, gram, init_model, kernel_kmeans_score, make_circles, silhouette, standardize
 from miclust import kernels, metrics
 from miclust.data import make_rng
 from miclust.kernels import pairwise_sq_dist
@@ -232,17 +232,21 @@ def circles_2000():
     return standardize(make_circles(N_PEAK, 0.05, 0.1, 0))
 
 
-@pytest.mark.parametrize("name", ["pairwise_sq_dist", "gram", "silhouette"])
+@pytest.mark.parametrize("name", ["pairwise_sq_dist", "gram", "silhouette", "kernel_kmeans_score"])
 def test_one_n_by_n_buffer_per_build(name, circles_2000):
     X, labels = circles_2000.values, circles_2000.labels
+    G = gram(X, X, KernelSpec("rbf")).values if name == "kernel_kmeans_score" else None  # built before tracing
+    skewed = (np.arange(N_PEAK) >= 1800).astype(np.int64)  # one cluster of 1800: its gathered block was 0.81 n x n
     call = {
         "pairwise_sq_dist": lambda: pairwise_sq_dist(X, X),
         "gram": lambda: gram(X, X, KernelSpec("rbf")),
         "silhouette": lambda: silhouette(X, labels),
+        "kernel_kmeans_score": lambda: kernel_kmeans_score(skewed, G),
     }[name]
     call()  # first-call allocations stay out of the measured peak
-    # the silhouette builds and walks one row block of distances at a time, holding no n x n
-    assert _peak_in_n2_doubles(call) < (0.25 if name == "silhouette" else 1.2)
+    # the silhouette builds and walks one row block of distances at a time, holding no n x n; the score sums each
+    # cluster's block from leaves of about 1 MB, gathering no block whole
+    assert _peak_in_n2_doubles(call) < {"silhouette": 0.25, "kernel_kmeans_score": 0.1}.get(name, 1.2)
 
 
 def _head_cases():

@@ -571,6 +571,18 @@ def test_flags_a_model_does_not_use_are_still_validated(tmp_path, circles_csv, c
     assert not out.exists()
 
 
+# kmeans(X, 2, n_init=2**62) ran without end; the CLI's --n-init follows kmeans' own cap, for every id
+@pytest.mark.parametrize("value", ["1000001", "4611686018427387904"])
+@pytest.mark.parametrize("model", ["kmeans", "mlp"])
+def test_n_init_past_the_restart_cap_exits_2_before_any_work(tmp_path, circles_csv, model, value, monkeypatch, capsys):
+    monkeypatch.setattr(miclust.cli, "fit", lambda *a: pytest.fail("training started"))
+    monkeypatch.setattr(miclust.baselines, "kmeans", lambda *a, **k: pytest.fail("a restart ran"))
+    out = tmp_path / "run"
+    assert main(["fit", "--model", model, "--n-init", value, "--data", str(circles_csv), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --n-init must be an integer from 1 to 1000000, got int {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["linear-rim", "kernel-rim"])
 def test_a_rim_id_accepts_the_objective_it_spells_out(tmp_path, circles_csv, model):
     out = tmp_path / "run"

@@ -3,8 +3,9 @@
 `kernels._map` runs whole calls on the pool: runs of row blocks of the
 distance build of `gram`, `pairwise_sq_dist` and the silhouette, each block
 its own gemm `(2X)[rows] Y^T` and epilogue, runs of row blocks of the
-silhouette's per-cluster walk over its distances, and one `G @ v` per
-MMD-GEMINI cluster. Every row-block pass goes through
+silhouette's per-cluster walk over its distances, one `G @ v` per
+MMD-GEMINI cluster, and the two halves of each split of the kernel K-means
+score's pairwise block sum. Every row-block pass goes through
 `kernels._for_row_blocks`, which hands `_map` the size of its n x m matrix,
 and `_map` alone decides whether the calls go on the pool. The row blocks
 are the same on any number of workers, so the bits are too. Here the worker
@@ -13,18 +14,21 @@ on the pool, with uneven runs of blocks, a one-row last block and empty
 inputs.
 """
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import miclust as mc
-from miclust import KernelSpec, TrainConfig, gram, kernels, silhouette
+from miclust import KernelSpec, TrainConfig, gram, kernel_kmeans_score, kernels, silhouette
 from miclust.kernels import pairwise_sq_dist
 from miclust.objectives import mmd_gemini_ova
 
@@ -222,6 +226,57 @@ def test_silhouette_sums_that_overflow_on_a_pool_thread_raise_without_a_warning(
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="sums do not overflow"):
             _threaded(monkeypatch, 2, lambda: silhouette(D, labels, precomputed=True))
+
+
+def _pool_sized(value, *entries):
+    """An 801 x 801 rbf Gram (5.1 MB, so its block sum splits on the pool) with `value` at each of `entries`."""
+    X = _data(801)[0]
+    G = gram(X, X, KernelSpec("rbf", 0.5)).values
+    G[tuple(zip(*entries))] = value
+    return G
+
+
+# entries inside the 780-point cluster, in the left (its first 390 rows) and the right half of its first split; the
+# last two warned from any leaf without its own error state
+POOL_GRAMS = {
+    "inf": lambda: _pool_sized(np.inf, (0, 0), (779, 779)),
+    "nan": lambda: _pool_sized(np.nan, (3, 5), (770, 2)),
+    "inf-and-minus-inf": lambda: _pool_sized(np.inf, (0, 0), (700, 700)) - _pool_sized(np.inf, (0, 1), (700, 701)),
+    "sums-past-float64": lambda: np.full((801, 801), 1e308),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("G", POOL_GRAMS.values(), ids=POOL_GRAMS)
+def test_a_kernel_score_that_is_not_finite_on_pool_threads_raises_without_a_warning(monkeypatch, workers, G):
+    labels = (np.arange(801) >= 780).astype(int)  # clusters of 780 and 21
+    G = G()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on a worker reaches the caller as the worker's exception
+        with pytest.raises(ValueError, match="^kernel K-means score needs a finite Gram matrix"):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_WORKERS", workers)
+                kernel_kmeans_score(labels, G)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_scored_gram_dies_with_its_last_reference_without_the_collector(monkeypatch, workers):
+    # a recursive closure over G, a reference cycle, kept each scored Gram alive until the next collection
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    X = _data(801)[0]
+    G = gram(X, X, KernelSpec("rbf", 0.5)).values
+    alive = weakref.ref(G)
+    gc.disable()
+    try:
+        kernel_kmeans_score(np.zeros(801, dtype=np.int64), G)
+        del G
+        # a pool thread drops its task a moment after handing back the result; a cycle never dies here
+        deadline = time.monotonic() + 5.0
+        while alive() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
